@@ -16,8 +16,7 @@ from .formula import (DesignMatrix, FormulaSpec, Term, build_design,
                       format_formula, parse_formula)
 from .freq_oracle import MleFit, pch_mle
 from .gcomp import (BBWeights, GcompResult, apply_intervention,
-                    conditional_survival, draw_bb_weights,
-                    exact_marginal_survival, gcompute, simulate_event_times)
+                    draw_bb_weights, exact_marginal_survival, gcompute)
 from .hazard_model import (HazardModel, ParameterState, Partition, PersonTime,
                            PriorConfig, cum_base_hazard, expand_person_time,
                            from_unconstrained, log_likelihood,
@@ -37,8 +36,7 @@ __all__ = [
     "cum_base_hazard",
     "SamplerConfig", "HazardPosterior", "sample", "leapfrog", "run_hmc_chain",
     "BBWeights", "GcompResult", "draw_bb_weights", "apply_intervention",
-    "simulate_event_times", "conditional_survival", "gcompute",
-    "exact_marginal_survival",
+    "gcompute", "exact_marginal_survival",
     "SummaryTable", "PsrfReport", "summarize", "psrf",
     "MleFit", "pch_mle",
     "CausalPchError", "DataError", "FormulaError", "NumericalError",

@@ -258,7 +258,7 @@ def cmd_fit(args) -> int:
         leapfrog_steps=opt("leapfrog_steps", int) if opt("leapfrog_steps") is not None else 32,
         target_accept=opt("target_accept", float) if opt("target_accept") is not None else 0.8,
         init_jitter=opt("init_jitter", float) if opt("init_jitter") is not None else 1.0,
-        threads=opt("threads", int))
+        threads=opt("threads", int) if opt("threads") is not None else 1)
 
     posterior = sample(dataset, spec, prior, sampler_config)
 
@@ -419,7 +419,8 @@ def build_parser() -> _Parser:
     fit.add_argument("--target-accept", dest="target_accept", type=float)
     fit.add_argument("--init-jitter", dest="init_jitter", type=float)
     fit.add_argument("--threads", type=int,
-                     help="worker threads for chains (default: chains)")
+                     help="worker threads for chains (default 1: chains "
+                          "run one after another)")
     fit.add_argument("--config", help="flat JSON config; flags override it")
     fit.add_argument("--out-dir", dest="out_dir")
     fit.set_defaults(func=cmd_fit)

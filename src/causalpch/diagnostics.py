@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError
 
@@ -139,6 +138,9 @@ def summarize(draws, probs=(0.025, 0.975), names=None) -> SummaryTable:
 
 def psrf(chains, names=None) -> PsrfReport:
     """Gelman-Rubin diagnostic over C >= 2 equal-length chains."""
+    # scipy.stats costs most of the package's import time; only psrf needs it
+    from scipy import stats
+
     chain_list = _as_chain_list(chains)
     if len(chain_list) < 2:
         raise DataError("psrf needs at least 2 chains")

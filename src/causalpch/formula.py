@@ -81,6 +81,20 @@ class DesignMatrix:
     def p(self) -> int:
         return self.X.shape[1]
 
+    def check_treatment(self, treat_col: str) -> None:
+        """Require a 0/1 treatment column with subjects in both arms.
+
+        With every subject in one arm the causal contrast is not identified.
+        """
+        a = self.X[:, self.columns.index(treat_col)]
+        if not np.all(np.isin(a, (0.0, 1.0))):
+            raise DataError(f"treatment column {treat_col!r} must be 0/1")
+        for level in (0, 1):
+            if not np.any(a == level):
+                raise DataError(
+                    f"treatment column {treat_col!r} has no subject with "
+                    f"value {level}; the contrast is not identified")
+
 
 class _Tokens:
     def __init__(self, text: str):

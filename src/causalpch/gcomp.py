@@ -3,15 +3,17 @@
 For each posterior draw m the confounder distribution gets a fresh Bayesian
 bootstrap weight vector pi ~ Dirichlet(1, ..., 1). Under each intervention
 a in {0, 1}, every subject's design row is rewritten (treatment column and
-all interaction columns involving it), B event times are simulated from the
-piecewise-exponential hazard by inverse-CDF, and the conditional survival
-curves are averaged over subjects with the bootstrap weights. The contrast
+all interaction columns involving it) and B event times are simulated from
+the piecewise-exponential hazard. The weighted average of the subjects'
+empirical survival curves is the marginal curve of that arm; the contrast
 ate(t) is the survival difference between the intervened arms.
 
-Simulated times never extrapolate: a simulation whose cumulative hazard
-budget outlives the partition is recorded as the sentinel ``max time + dtau``
-("survived past the horizon"), and evaluation grids beyond the maximum
-observed time are rejected outright.
+Event times are never materialised. A time simulated from unit exponential
+E satisfies T > t exactly when E / exp(x'beta) > Lambda0(t), so the number of
+grid times a simulation outlives is the position of E / exp(x'beta) in the
+sorted Lambda0(grid). One bincount of those positions, weighted by pi / B,
+and a reverse cumulative sum give pi @ S(grid) for all subjects at once.
+Evaluation grids beyond the maximum observed time are rejected outright.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import numpy as np
 
 from .errors import DataError
 from .formula import Term
-from .hazard_model import ParameterState, Partition
+from .hazard_model import Partition, cum_base_hazard
 
 __all__ = ["BBWeights", "GcompResult", "draw_bb_weights", "apply_intervention",
-           "simulate_event_times", "conditional_survival", "gcompute",
-           "exact_marginal_survival"]
+           "gcompute", "exact_marginal_survival"]
 
 
 @dataclass(frozen=True)
@@ -94,61 +95,6 @@ def apply_intervention(X: np.ndarray, terms: tuple[Term, ...],
     return out
 
 
-def _cum_hazard_knots(theta_levels: np.ndarray, dtau: float) -> np.ndarray:
-    """Cumulative baseline hazard at the partition endpoints, (K+1,)."""
-    return np.concatenate(([0.0], dtau * np.cumsum(theta_levels)))
-
-
-def _invert_cum_hazard(targets: np.ndarray, theta_levels: np.ndarray,
-                       partition: Partition) -> np.ndarray:
-    """Solve Lambda0(t) = target for each target; sentinel past the horizon."""
-    knots = _cum_hazard_knots(theta_levels, partition.dtau)
-    shape = targets.shape
-    flat = targets.reshape(-1)
-    idx = np.searchsorted(knots, flat, side="left").clip(1, len(knots) - 1)
-    j = idx - 1
-    times = partition.endpoints[j] + (flat - knots[j]) / theta_levels[j]
-    times[flat > knots[-1]] = partition.max_time + partition.dtau
-    return times.reshape(shape)
-
-
-def simulate_event_times(state: ParameterState, partition: Partition,
-                         x_row: np.ndarray, b: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Draw ``b`` event times from the hazard at one (intervened) design row.
-
-    Inverse-CDF: E ~ Exp(1) is solved against the piecewise-linear cumulative
-    hazard Lambda(t) = exp(x'beta) * Lambda0(t), interpolating linearly inside
-    the crossed interval. Draws with E beyond Lambda(max time) return the
-    sentinel ``max time + dtau``.
-    """
-    if b < 1:
-        raise DataError(f"need b >= 1, got {b}")
-    rate = float(np.exp(np.dot(x_row, state.beta)))
-    targets = rng.standard_exponential(b) / rate
-    return _invert_cum_hazard(targets, np.exp(state.theta_tilde), partition)
-
-
-def conditional_survival(sim_times: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Empirical survival of one simulation set on a time grid."""
-    sim_times = np.asarray(sim_times, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    return (sim_times[:, None] > grid[None, :]).mean(axis=0)
-
-
-def _survival_curves(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Rowwise empirical survival: times (n, B) against grid (T,) -> (n, T)."""
-    n, b = times.shape
-    order = np.argsort(grid, kind="stable")
-    sorted_grid = grid[order]
-    out = np.empty((n, len(grid)))
-    times_sorted = np.sort(times, axis=1)
-    for i in range(n):
-        counts = np.searchsorted(times_sorted[i], sorted_grid, side="right")
-        out[i, order] = 1.0 - counts / b
-    return out
-
-
 def _validate_grid(grid: np.ndarray, partition: Partition) -> np.ndarray:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
@@ -192,12 +138,15 @@ def gcompute(posterior, ref: int = 0, b: int = 1000,
     n = design.n
     arms = {a: apply_intervention(design.X, design.terms, design.columns,
                                   posterior.treat_col, a) for a in (0, 1)}
+    design.check_treatment(posterior.treat_col)
     theta_draws = posterior.hazard_draws
     beta_draws = posterior.beta_draws
     M = theta_draws.shape[0]
     T = len(grid)
 
     surv = {0: np.empty((M, T)), 1: np.empty((M, T))}
+    order = np.argsort(grid, kind="stable")
+    sorted_grid = grid[order]
     # disjoint from the sampler's chain spawn keys (c,)
     root = np.random.SeedSequence(seed, spawn_key=(0x6C0,))
     streams = root.spawn(M)
@@ -207,12 +156,16 @@ def gcompute(posterior, ref: int = 0, b: int = 1000,
             pi = draw_bb_weights(n, rng).pi
         else:
             pi = np.full(n, 1.0 / n)
-        theta_m = theta_draws[m]
+        weights = np.repeat(pi / b, b)        # one per simulation, row-major
+        lam = cum_base_hazard(theta_draws[m], partition, sorted_grid)
         for a in (0, 1):
             rate = np.exp(arms[a] @ beta_draws[m])          # (n,)
-            targets = rng.standard_exponential((n, b)) / rate[:, None]
-            times = _invert_cum_hazard(targets, theta_m, partition)
-            surv[a][m] = pi @ _survival_curves(times, grid)
+            targets = rng.standard_exponential((n, b))
+            targets /= rate[:, None]
+            # a simulation outlives exactly the first `passed` sorted times
+            passed = np.searchsorted(lam, targets.ravel(), side="left")
+            mass = np.bincount(passed, weights=weights, minlength=T + 1)
+            surv[a][m, order] = np.cumsum(mass[::-1])[::-1][1:]
     surv_ref = surv[ref]
     surv_trt = surv[1 - ref]
     return GcompResult(times=grid, surv_ref=surv_ref, surv_trt=surv_trt,
@@ -227,8 +180,6 @@ def exact_marginal_survival(posterior, ref: int, grid: np.ndarray,
     Plug-in version of the g-formula used as an internal consistency oracle
     for the Monte Carlo path; weights default to uniform 1/n.
     """
-    from .hazard_model import cum_base_hazard
-
     if ref not in (0, 1):
         raise DataError(f"ref must be 0 or 1, got {ref!r}")
     partition = posterior.partition

@@ -392,7 +392,6 @@ def cum_base_hazard(theta: np.ndarray, partition: Partition, t) -> np.ndarray | 
     if np.any(t_arr < 0) or np.any(t_arr > partition.max_time):
         bad = t_arr[(t_arr < 0) | (t_arr > partition.max_time)][0]
         raise DataError(f"time {bad!r} outside [0, {partition.max_time}]")
-    left = partition.endpoints[:-1]
-    overlap = np.clip(t_arr[:, None] - left[None, :], 0.0, partition.dtau)
-    out = overlap @ theta
+    knots = np.concatenate(([0.0], partition.dtau * np.cumsum(theta)))
+    out = np.interp(t_arr, partition.endpoints, knots)
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out

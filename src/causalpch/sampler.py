@@ -49,7 +49,7 @@ class SamplerConfig:
     leapfrog_steps: int = 32
     target_accept: float = 0.8
     init_jitter: float = 1.0
-    threads: int | None = None      # worker threads for chains; None = chains
+    threads: int | None = 1         # worker threads for chains; None = chains
 
     def __post_init__(self):
         if self.warmup < 1 or self.post_iter < 1:
@@ -297,15 +297,14 @@ def sample(data: Dataset, formula_spec: FormulaSpec, prior_config: PriorConfig,
     """Draw from the hazard-model posterior.
 
     The treatment column must appear as a main effect in the formula
-    (g-computation intervenes on it) and must be 0/1.
+    (g-computation intervenes on it), must be 0/1 and must have subjects in
+    both arms.
     """
     design = build_design(data, formula_spec)
     if data.treat_col not in formula_spec.main_effects:
         raise DataError(f"treatment column {data.treat_col!r} must appear in "
                         "the formula as a main effect")
-    treat_values = design.X[:, list(design.columns).index(data.treat_col)]
-    if not np.all(np.isin(treat_values, (0.0, 1.0))):
-        raise DataError(f"treatment column {data.treat_col!r} must be 0/1")
+    design.check_treatment(data.treat_col)
     if np.any(design.y <= 0):
         raise DataError("observed times must be positive")
 

@@ -119,6 +119,20 @@ class TestFit:
                    "--formula", "Surv(y, delta) ~ A"])
         assert rc == 2
 
+    def test_single_arm_data_exit_code(self, tmp_path, tiny_csv, capsys):
+        lines = tiny_csv.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        treated = tmp_path / "all_treated.csv"
+        treated.write_text("\n".join([lines[0]] + [",".join(r[:2] + ["1"] + r[3:])
+                                                  for r in rows]) + "\n")
+        rc = main(["fit", "--data", str(treated),
+                   "--formula", "Surv(y, delta) ~ A + x",
+                   "--warmup", "10", "--iters", "10",
+                   "--out-dir", str(tmp_path / "one_arm")])
+        assert rc == 2
+        assert "not identified" in capsys.readouterr().err
+        assert not (tmp_path / "one_arm").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, tiny_csv, capsys):
         # ar1 with an aggressive step diverges past the 20% gate -> exit 3
         rc = main(["fit", "--data", str(tiny_csv),
@@ -200,6 +214,20 @@ class TestGcomp:
         _, trt = read_numeric_csv(out / "surv_trt.csv")
         _, ate = read_numeric_csv(out / "ate.csv")
         assert np.array_equal(ate, trt - ref)
+
+    def test_single_arm_design_exit_code(self, tmp_path, tiny_csv, capsys):
+        fit = run_fit(tmp_path, tiny_csv)
+        meta = json.loads((fit / "meta.json").read_text())
+        col = meta["design_columns"].index("A")
+        for row in meta["design_matrix"]:
+            row[col] = 1.0
+        (fit / "meta.json").write_text(json.dumps(meta))
+        rc = main(["gcomp", "--draws", str(fit / "draws.csv"),
+                   "--meta", str(fit / "meta.json"), "--B", "8",
+                   "--out-dir", str(tmp_path / "gc_one_arm")])
+        assert rc == 2
+        assert "not identified" in capsys.readouterr().err
+        assert not (tmp_path / "gc_one_arm" / "ate.csv").exists()
 
     def test_mismatched_meta(self, tmp_path, tiny_csv):
         fit_a = run_fit(tmp_path, tiny_csv, out="mm_a")

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalpch
 from causalpch import DataError, psrf, summarize
 
 
@@ -114,3 +119,17 @@ class TestPsrf:
         chains = [base + 1e-3 * rng.standard_normal(2000) for _ in range(3)]
         report = psrf(chains)
         assert report.point[0] > 0.99
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates import time; psrf imports it on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(causalpch.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, causalpch; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from causalpch import (DataError, ParameterState, apply_intervention,
-                       conditional_survival, draw_bb_weights,
-                       exact_marginal_survival, gcompute, make_partition,
-                       simulate_event_times)
+from causalpch import (DataError, apply_intervention, cum_base_hazard,
+                       draw_bb_weights, exact_marginal_survival, gcompute,
+                       make_partition)
 from causalpch.formula import DesignMatrix, Term
 from causalpch.sampler import HazardPosterior, SamplerConfig
 
@@ -34,76 +32,6 @@ class TestBBWeights:
     def test_invalid_n(self):
         with pytest.raises(DataError):
             draw_bb_weights(0, rng_for(0))
-
-
-def flat_state(K, p, level=1.0, beta=None):
-    return ParameterState(theta_tilde=np.full(K, math.log(level)),
-                          beta=np.zeros(p) if beta is None else np.asarray(beta, float),
-                          eta=0.0, rho=0.0, nu=np.ones(K))
-
-
-class TestSimulateEventTimes:
-    def test_constant_hazard_is_exponential(self):
-        part = make_partition(200.0, 40)
-        state = flat_state(40, 0, level=0.25)
-        times = simulate_event_times(state, part, np.zeros(0), 10000,
-                                     rng_for(2))
-        observed = times[times <= part.max_time]
-        # censor both sides at the horizon for a fair comparison
-        p = stats.kstest(observed,
-                         lambda t: stats.expon(scale=4.0).cdf(t)
-                         / stats.expon(scale=4.0).cdf(part.max_time)).pvalue
-        assert p > 0.01
-
-    def test_covariate_scaling_halves_mean(self):
-        part = make_partition(2000.0, 50)
-        base = flat_state(50, 1, level=0.05, beta=[math.log(2.0)])
-        slow = simulate_event_times(base, part, np.array([0.0]), 20000,
-                                    rng_for(3))
-        fast = simulate_event_times(base, part, np.array([1.0]), 20000,
-                                    rng_for(4))
-        assert fast.mean() == pytest.approx(slow.mean() / 2, rel=0.05)
-
-    def test_sentinel_fraction(self):
-        # Lambda(max) = 0.1 => about exp(-0.1) of draws outlive the horizon
-        part = make_partition(10.0, 5)
-        state = flat_state(5, 0, level=0.01)
-        times = simulate_event_times(state, part, np.zeros(0), 40000,
-                                     rng_for(5))
-        sentinel = part.max_time + part.dtau
-        frac = (times == sentinel).mean()
-        assert frac == pytest.approx(math.exp(-0.1), abs=0.005)
-        assert times.max() <= sentinel
-
-    def test_piecewise_interpolation_exact(self):
-        # one interval of hazard 2 then hazard 0.5: Lambda(t) = 2t then
-        # 2 + 0.5 (t - 1); check the inverse at hand-picked quantiles
-        part = make_partition(5.0, 5)
-        state = ParameterState(
-            theta_tilde=np.log(np.array([2.0, 0.5, 0.5, 0.5, 0.5])),
-            beta=np.zeros(0), eta=0.0, rho=0.0, nu=np.ones(5))
-        from causalpch.gcomp import _invert_cum_hazard
-        assert _invert_cum_hazard(np.array([1.0]), np.exp(state.theta_tilde),
-                                  part)[0] == pytest.approx(0.5)
-        assert _invert_cum_hazard(np.array([2.25]), np.exp(state.theta_tilde),
-                                  part)[0] == pytest.approx(1.5)
-
-
-class TestConditionalSurvival:
-    def test_all_sentinel(self):
-        probs = conditional_survival(np.full(50, 11.0), np.array([1.0, 5.0, 9.0]))
-        assert probs.tolist() == [1.0, 1.0, 1.0]
-
-    def test_counting(self):
-        probs = conditional_survival(np.array([1.0, 2.0, 3.0, 4.0]),
-                                     np.array([2.5]))
-        assert probs.tolist() == [0.5]
-
-    def test_monotone_on_shared_set(self):
-        rng = rng_for(6)
-        sims = rng.exponential(3.0, 500)
-        probs = conditional_survival(sims, np.array([1.0, 2.0, 3.0]))
-        assert probs[0] >= probs[1] >= probs[2]
 
 
 class TestApplyIntervention:
@@ -234,3 +162,101 @@ class TestGcompute:
         res = gcompute(post, ref=0, b=8)
         assert np.allclose(res.times, post.partition.midpoints)
         assert res.grid_source == "midpoints"
+
+    def test_single_arm_design_rejected(self):
+        post = synthetic_posterior()
+        post.design.X[:, 0] = 1.0
+        with pytest.raises(DataError, match="not identified"):
+            gcompute(post, ref=0, b=8)
+
+
+def inverse_cdf_gcompute(post, b, grid, seed):
+    """Marginal survival per arm by the inverse-CDF path, (2, M, T).
+
+    Simulates every event time on the same Philox streams as ``gcompute``,
+    sorts each subject's times and counts them against the grid; draws whose
+    cumulative hazard outlives the partition get a time past the horizon.
+    """
+    part, design = post.partition, post.design
+    arms = [apply_intervention(design.X, design.terms, design.columns,
+                               post.treat_col, a) for a in (0, 1)]
+    streams = np.random.SeedSequence(seed, spawn_key=(0x6C0,)).spawn(
+        len(post.draws))
+    out = np.zeros((2, len(post.draws), len(grid)))
+    for m, stream in enumerate(streams):
+        rng = np.random.Generator(np.random.Philox(stream))
+        pi = draw_bb_weights(design.n, rng).pi
+        hazard = post.hazard_draws[m]
+        knots = np.concatenate(([0.0], part.dtau * np.cumsum(hazard)))
+        for a in (0, 1):
+            rate = np.exp(arms[a] @ post.beta_draws[m])
+            targets = rng.standard_exponential((design.n, b)) / rate[:, None]
+            j = np.searchsorted(knots, targets, side="left").clip(1, part.K) - 1
+            times = part.endpoints[j] + (targets - knots[j]) / hazard[j]
+            times[targets > knots[-1]] = part.max_time + part.dtau
+            times.sort(axis=1)
+            for i in range(design.n):
+                counts = np.searchsorted(times[i], grid, side="right")
+                out[a, m] += pi[i] * (1.0 - counts / b)
+    return out
+
+
+def degenerate_posterior(theta, beta, M=20, n=12):
+    """Every draw has log hazard levels ``theta`` and coefficients ``beta``."""
+    post = synthetic_posterior(M=M, n=n, K=len(theta))
+    post.draws[:, :post.K] = theta
+    post.draws[:, post.K:post.K + post.p] = beta
+    return post
+
+
+def mc_tolerance(surv, n, b):
+    """4.5 Monte Carlo standard errors of a uniformly weighted survival."""
+    return 4.5 * np.sqrt(surv * (1.0 - surv) / (n * b)) + 1e-12
+
+
+class TestCountingKernel:
+    @pytest.mark.parametrize("K, grid", [
+        (6, np.array([3.0, 9.0])),
+        (100, None),
+        (6, np.array([9.0, 2.0, 9.0, 0.0, 12.0, 2.0])),
+    ], ids=["two_times", "midpoints", "unsorted_duplicates"])
+    def test_matches_inverse_cdf_reference(self, K, grid):
+        post = synthetic_posterior(M=8, K=K)
+        res = gcompute(post, ref=0, b=200, grid=grid, seed=11)
+        want = inverse_cdf_gcompute(post, 200, res.times, 11)
+        assert np.max(np.abs(res.surv_ref - want[0])) < 1e-12
+        assert np.max(np.abs(res.surv_trt - want[1])) < 1e-12
+
+    def test_constant_hazard_is_exponential(self):
+        level, b = 0.25, 2000
+        post = degenerate_posterior(np.full(6, math.log(level)), [0.0, 0.0])
+        grid = np.array([0.5, 2.0, 5.0, 11.0])
+        res = gcompute(post, ref=0, b=b, grid=grid, bb_weights=False)
+        exact = np.exp(-level * grid)
+        for surv in (res.surv_ref, res.surv_trt):
+            assert np.all(np.abs(surv - exact) < mc_tolerance(exact, 12, b))
+
+    def test_doubled_rate_squares_survival(self):
+        theta = np.log([0.05, 0.2, 0.1, 0.3, 0.05, 0.1])
+        b = 2000
+        post = degenerate_posterior(theta, [math.log(2.0), 0.0])
+        grid = np.array([1.0, 4.0, 7.5, 12.0])
+        res = gcompute(post, ref=0, b=b, grid=grid, bb_weights=False)
+        surv = np.exp(-cum_base_hazard(np.exp(theta), post.partition, grid))
+        assert np.all(np.abs(res.surv_ref - surv) < mc_tolerance(surv, 12, b))
+        assert np.all(np.abs(res.surv_trt - surv**2)
+                      < mc_tolerance(surv**2, 12, b))
+
+    def test_survival_at_horizon(self):
+        # Lambda0(max) = 0.1: about exp(-0.1) of the simulations outlive the
+        # partition, and they count as survivors at every grid time
+        b = 4000
+        post = degenerate_posterior(np.full(6, math.log(0.1 / 12.0)),
+                                    [0.0, 0.0])
+        res = gcompute(post, ref=0, b=b, grid=np.array([12.0]),
+                       bb_weights=False)
+        surv = math.exp(-0.1)
+        assert np.all(np.abs(res.surv_ref - surv) < mc_tolerance(surv, 12, b))
+        tiny = degenerate_posterior(np.full(6, -40.0), [0.0, 0.0], M=3)
+        res = gcompute(tiny, ref=0, b=100, grid=np.array([1.0, 6.0, 12.0]))
+        assert np.allclose(res.surv_ref, 1.0, rtol=0, atol=1e-12)

@@ -358,6 +358,14 @@ class TestCumBaseHazard:
         assert cum_base_hazard(theta, part, 4.0) == \
             pytest.approx(0.3 * 2 + 1.1 * 2, rel=1e-12)
 
+    def test_piecewise_interpolation_exact(self):
+        # hazard 2 on the first interval, then 0.5: Lambda0(t) = 2t, then
+        # 2 + 0.5 (t - 1); check it at hand-picked times
+        part = make_partition(5.0, 5)
+        theta = np.array([2.0, 0.5, 0.5, 0.5, 0.5])
+        vals = cum_base_hazard(theta, part, np.array([0.5, 1.0, 1.5, 5.0]))
+        assert vals == pytest.approx([1.0, 2.0, 2.25, 4.0], rel=1e-12)
+
     def test_matches_quadrature(self):
         rng = np.random.default_rng(17)
         part = make_partition(7.0, 9)

@@ -120,9 +120,9 @@ class TestHmcChain:
             run_hmc_chain(hopeless, 3, cfg, rng)
 
 
-def tiny_dataset(n=24, seed=0, treat_zero=False):
+def tiny_dataset(n=24, seed=0):
     rng = np.random.default_rng(seed)
-    a = np.zeros(n) if treat_zero else (rng.random(n) < 0.5).astype(float)
+    a = (rng.random(n) < 0.5).astype(float)
     y = rng.exponential(2.0, n).clip(0.05, 9.5)
     y[0] = 10.0
     delta = (rng.random(n) < 0.8).astype(float)
@@ -155,6 +155,19 @@ class TestSample:
         assert np.array_equal(seq.draws, par.draws)
         assert seq.chain_ids.tolist() == par.chain_ids.tolist()
 
+    def test_chains_run_serially_by_default(self, monkeypatch):
+        import causalpch.sampler as sampler_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the default config started a thread pool")
+
+        monkeypatch.setattr(sampler_module, "ThreadPoolExecutor", no_pool)
+        post = sample(tiny_dataset(), parse_formula("Surv(y, delta) ~ A"),
+                      PriorConfig(model_kind="independent", K=3),
+                      SamplerConfig(warmup=20, post_iter=10, seed=3, chains=2,
+                                    leapfrog_steps=4))
+        assert post.n_chains == 2
+
     def test_chain_independence(self):
         data = tiny_dataset()
         spec = parse_formula("Surv(y, delta) ~ A")
@@ -185,17 +198,18 @@ class TestSample:
         assert np.all(nu > 0)
 
     def test_prior_only_beta_block(self):
-        # all-zero treatment column: the likelihood never sees beta, so its
-        # marginal posterior is exactly the N(0, sigma^2) prior; K is kept
-        # small so every interval has events and the scale coordinates stay
-        # data-pinned
-        data = tiny_dataset(n=60, seed=0, treat_zero=True)
-        spec = parse_formula("Surv(y, delta) ~ A")
+        # all-zero covariate column: the likelihood never sees its beta, so
+        # that marginal posterior is exactly the N(0, sigma^2) prior; K is
+        # kept small so every interval has events and the scale coordinates
+        # stay data-pinned
+        data = tiny_dataset(n=60, seed=0)
+        data.columns["z"] = np.zeros(60)
+        spec = parse_formula("Surv(y, delta) ~ A + z")
         prior = PriorConfig(model_kind="independent", K=2, sigma=3.0)
         post = sample(data, spec, prior,
                       SamplerConfig(warmup=800, post_iter=4000, seed=2,
                                     leapfrog_steps=32, target_accept=0.95))
-        beta = post.beta_draws[:, 0]
+        beta = post.beta_draws[:, 1]
         table = summarize(beta)
         assert abs(table.mean[0]) < 3 * table.ts_se[0]
         assert table.sd[0] == pytest.approx(3.0, rel=0.10)
