@@ -247,9 +247,13 @@ class TestCountingKernel:
         assert np.all(np.abs(res.surv_trt - surv**2)
                       < mc_tolerance(surv**2, 12, b))
 
-    def test_survival_at_horizon(self):
+
+class TestSimulateEventTimes:
+    """Event-time simulation seen through ``gcompute``'s survival curves."""
+
+    def test_sentinel_fraction(self):
         # Lambda0(max) = 0.1: about exp(-0.1) of the simulations outlive the
-        # partition, and they count as survivors at every grid time
+        # partition, and they count as survivors at the horizon
         b = 4000
         post = degenerate_posterior(np.full(6, math.log(0.1 / 12.0)),
                                     [0.0, 0.0])
@@ -257,6 +261,24 @@ class TestCountingKernel:
                        bb_weights=False)
         surv = math.exp(-0.1)
         assert np.all(np.abs(res.surv_ref - surv) < mc_tolerance(surv, 12, b))
+
+
+class TestConditionalSurvival:
+    """Survival counted from one shared set of simulations per subject."""
+
+    def test_all_sentinel(self):
+        # no simulation fails within the partition: survival 1 everywhere
         tiny = degenerate_posterior(np.full(6, -40.0), [0.0, 0.0], M=3)
         res = gcompute(tiny, ref=0, b=100, grid=np.array([1.0, 6.0, 12.0]))
         assert np.allclose(res.surv_ref, 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(res.surv_trt, 1.0, rtol=0, atol=1e-12)
+
+    def test_monotone_on_shared_set(self):
+        # one simulation per subject and an unsorted grid: only counting one
+        # shared set against every time keeps each curve non-increasing
+        post = synthetic_posterior(M=20)
+        grid = np.array([9.0, 1.0, 3.0, 2.0, 6.0])
+        res = gcompute(post, ref=0, b=1, grid=grid, seed=6)
+        order = np.argsort(grid)
+        for surv in (res.surv_ref, res.surv_trt):
+            assert np.all(np.diff(surv[:, order], axis=1) <= 1e-12)
