@@ -8,11 +8,11 @@ the piecewise-exponential hazard. The weighted average of the subjects'
 empirical survival curves is the marginal curve of that arm; the contrast
 ate(t) is the survival difference between the intervened arms.
 
-Event times are never materialised. A time simulated from unit exponential
-E satisfies T > t exactly when E / exp(x'beta) > Lambda0(t), so the number of
-grid times a simulation outlives is the position of E / exp(x'beta) in the
-sorted Lambda0(grid). One bincount of those positions, weighted by pi / B,
-and a reverse cumulative sum give pi @ S(grid) for all subjects at once.
+Event times are never drawn. A subject's B simulations matter only through
+how many fail between consecutive sorted grid times, and those counts are
+Multinomial(B, p_i) with p_i from S_i(t) = exp(-exp(x_i'beta) Lambda0(t)).
+One multinomial draw per subject and arm, weighted by pi / B, and a reverse
+cumulative sum give pi @ S(grid) at a cost that does not grow with B.
 Evaluation grids beyond the maximum observed time are rejected outright.
 """
 
@@ -156,15 +156,15 @@ def gcompute(posterior, ref: int = 0, b: int = 1000,
             pi = draw_bb_weights(n, rng).pi
         else:
             pi = np.full(n, 1.0 / n)
-        weights = np.repeat(pi / b, b)        # one per simulation, row-major
         lam = cum_base_hazard(theta_draws[m], partition, sorted_grid)
         for a in (0, 1):
-            rate = np.exp(arms[a] @ beta_draws[m])          # (n,)
-            targets = rng.standard_exponential((n, b))
-            targets /= rate[:, None]
-            # a simulation outlives exactly the first `passed` sorted times
-            passed = np.searchsorted(lam, targets.ravel(), side="left")
-            mass = np.bincount(passed, weights=weights, minlength=T + 1)
+            # Lambda0(0) = 0 gives survival 1 even where the rate overflowed
+            cum = np.multiply(np.exp(arms[a] @ beta_draws[m])[:, None], lam,
+                              out=np.zeros((n, T)), where=lam > 0)
+            # cell j: simulations failing in (t_{j-1}, t_j], clipped at 0
+            cells = -np.diff(np.exp(-cum), axis=1, prepend=1.0, append=0.0)
+            counts = rng.multinomial(b, np.maximum(cells, 0.0, out=cells))
+            mass = pi @ counts / b
             surv[a][m, order] = np.cumsum(mass[::-1])[::-1][1:]
     surv_ref = surv[ref]
     surv_trt = surv[1 - ref]

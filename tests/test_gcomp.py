@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from causalpch import (DataError, apply_intervention, cum_base_hazard,
                        draw_bb_weights, exact_marginal_survival, gcompute,
@@ -170,12 +172,13 @@ class TestGcompute:
             gcompute(post, ref=0, b=8)
 
 
-def inverse_cdf_gcompute(post, b, grid, seed):
+def inverse_cdf_gcompute(post, b, grid, seed, bb_weights=True):
     """Marginal survival per arm by the inverse-CDF path, (2, M, T).
 
-    Simulates every event time on the same Philox streams as ``gcompute``,
-    sorts each subject's times and counts them against the grid; draws whose
-    cumulative hazard outlives the partition get a time past the horizon.
+    Simulates every event time, one Philox stream per draw as in
+    ``gcompute``, sorts each subject's times and counts them against the
+    grid; draws whose cumulative hazard outlives the partition get a time
+    past the horizon.
     """
     part, design = post.partition, post.design
     arms = [apply_intervention(design.X, design.terms, design.columns,
@@ -185,7 +188,8 @@ def inverse_cdf_gcompute(post, b, grid, seed):
     out = np.zeros((2, len(post.draws), len(grid)))
     for m, stream in enumerate(streams):
         rng = np.random.Generator(np.random.Philox(stream))
-        pi = draw_bb_weights(design.n, rng).pi
+        pi = (draw_bb_weights(design.n, rng).pi if bb_weights
+              else np.full(design.n, 1.0 / design.n))
         hazard = post.hazard_draws[m]
         knots = np.concatenate(([0.0], part.dtau * np.cumsum(hazard)))
         for a in (0, 1):
@@ -221,11 +225,32 @@ class TestCountingKernel:
         (6, np.array([9.0, 2.0, 9.0, 0.0, 12.0, 2.0])),
     ], ids=["two_times", "midpoints", "unsorted_duplicates"])
     def test_matches_inverse_cdf_reference(self, K, grid):
-        post = synthetic_posterior(M=8, K=K)
-        res = gcompute(post, ref=0, b=200, grid=grid, seed=11)
-        want = inverse_cdf_gcompute(post, 200, res.times, 11)
-        assert np.max(np.abs(res.surv_ref - want[0])) < 1e-12
-        assert np.max(np.abs(res.surv_trt - want[1])) < 1e-12
+        # the same law, not the same streams: replicates of one hazard draw
+        # with uniform weights agree in mean, and each kernel's variance is
+        # sum_i w_i^2 S_i (1 - S_i) / B, which n*B or 1 trials per subject miss
+        M, n, b = 400, 12, 1000
+        part = make_partition(12.0, K)
+        theta = np.log(np.diff(0.4 * np.sqrt(part.endpoints)) / part.dtau)
+        post = degenerate_posterior(theta, [math.log(1.5), 0.2], M=M, n=n)
+        res = gcompute(post, ref=0, b=b, grid=grid, seed=11, bb_weights=False)
+        # another seed, so the two kernels' replicates are independent
+        want = inverse_cdf_gcompute(post, b, res.times, 12, bb_weights=False)
+        got = np.stack([res.surv_ref, res.surv_trt])
+        d = post.design
+        rates = [np.exp(apply_intervention(d.X, d.terms, d.columns, "A", a)
+                        @ post.beta_draws[0]) for a in (0, 1)]
+        lam = cum_base_hazard(post.hazard_draws[0], part, res.times)
+        surv_i = np.exp(-np.multiply.outer(rates, lam))        # (2, n, T)
+        var = np.sum(surv_i * (1.0 - surv_i), axis=1) / (n**2 * b)
+        gap = np.abs(got.mean(axis=1) - want.mean(axis=1))
+        assert np.all(gap < 4.5 * np.sqrt(2.0 * var / M) + 1e-12)
+        lo, hi = chi2.ppf([1e-6, 1.0 - 1e-6], M - 1) / (M - 1)
+        live = var > 0
+        for surv in (got, want):
+            ratio = surv.var(axis=1, ddof=1)[live] / var[live]
+            assert np.all((ratio > lo) & (ratio < hi))
+            # t = 0: every simulation survives, in every replicate
+            assert np.allclose(surv[:, :, ~live[0]], 1.0, rtol=0, atol=1e-12)
 
     def test_constant_hazard_is_exponential(self):
         level, b = 0.25, 2000
@@ -246,6 +271,27 @@ class TestCountingKernel:
         assert np.all(np.abs(res.surv_ref - surv) < mc_tolerance(surv, 12, b))
         assert np.all(np.abs(res.surv_trt - surv**2)
                       < mc_tolerance(surv**2, 12, b))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    def test_overflowing_rate_dies_after_time_zero(self):
+        post = degenerate_posterior(np.full(6, math.log(0.1)), [1000.0, 0.0],
+                                    M=3)
+        res = gcompute(post, ref=0, b=50, grid=np.array([3.0, 0.0, 12.0]))
+        assert np.allclose(res.surv_trt, (res.times == 0).astype(float),
+                           rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(res.surv_ref))
+
+    def test_never_allocates_per_simulation(self):
+        # peak below one float array of n*B: counts, not simulated times
+        n, b = 137, 2000
+        post = synthetic_posterior(M=4, n=n, K=100)
+        tracemalloc.start()
+        try:
+            gcompute(post, ref=0, b=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * b
 
 
 class TestSimulateEventTimes:
