@@ -19,9 +19,8 @@ from .gcomp import (BBWeights, GcompResult, apply_intervention,
                     draw_bb_weights, exact_marginal_survival, gcompute)
 from .hazard_model import (HazardModel, ParameterState, Partition, PersonTime,
                            PriorConfig, cum_base_hazard, expand_person_time,
-                           from_unconstrained, log_likelihood,
-                           log_posterior_grad, log_prior, make_partition,
-                           to_unconstrained)
+                           from_unconstrained, log_likelihood, log_prior,
+                           make_partition, to_unconstrained)
 from .sampler import (HazardPosterior, SamplerConfig, leapfrog, sample,
                       run_hmc_chain)
 
@@ -32,8 +31,7 @@ __all__ = [
     "build_design",
     "Partition", "PersonTime", "ParameterState", "PriorConfig", "HazardModel",
     "make_partition", "expand_person_time", "log_likelihood", "log_prior",
-    "to_unconstrained", "from_unconstrained", "log_posterior_grad",
-    "cum_base_hazard",
+    "to_unconstrained", "from_unconstrained", "cum_base_hazard",
     "SamplerConfig", "HazardPosterior", "sample", "leapfrog", "run_hmc_chain",
     "BBWeights", "GcompResult", "draw_bb_weights", "apply_intervention",
     "gcompute", "exact_marginal_survival",

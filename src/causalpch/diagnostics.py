@@ -138,8 +138,9 @@ def summarize(draws, probs=(0.025, 0.975), names=None) -> SummaryTable:
 
 def psrf(chains, names=None) -> PsrfReport:
     """Gelman-Rubin diagnostic over C >= 2 equal-length chains."""
-    # scipy.stats costs most of the package's import time; only psrf needs it
-    from scipy import stats
+    # the F quantile scipy.stats.f.ppf computes, without importing
+    # scipy.stats, which costs most of a run's import time and memory
+    from scipy.special import fdtri
 
     chain_list = _as_chain_list(chains)
     if len(chain_list) < 2:
@@ -183,7 +184,7 @@ def psrf(chains, names=None) -> PsrfReport:
         r2_fixed = (m - 1.0) / m
         r2_random = (1.0 + 1.0 / c) / m * b / w
         w_df = 2.0 * w**2 / var_w
-        fq = stats.f.ppf(0.975, c - 1, w_df)
+        fq = fdtri(c - 1, w_df, 0.975)
         point = np.sqrt(df_adj * (r2_fixed + r2_random))
         upper = np.sqrt(df_adj * (r2_fixed + fq * r2_random))
     return PsrfReport(names=names, point=point, upper=upper)

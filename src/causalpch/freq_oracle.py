@@ -69,7 +69,7 @@ def pch_mle(design, person_time: PersonTime, delta: np.ndarray | None = None,
     separated = False
     max_grad = np.inf
     for iterations in range(1, max_iter + 1):
-        _, g_theta, g_beta = lik.value_and_grad(theta, beta)
+        _, g_theta, g_beta = lik.value_and_grad(theta, beta, with_value=False)
         D, C, F = lik.hessian_blocks(theta, beta)
         free = ~frozen
         Dv, Cv, gt = D[free], C[free], g_theta[free]
@@ -104,7 +104,7 @@ def pch_mle(design, person_time: PersonTime, delta: np.ndarray | None = None,
             separated = True
             break
 
-        _, g_theta, g_beta = lik.value_and_grad(theta, beta)
+        _, g_theta, g_beta = lik.value_and_grad(theta, beta, with_value=False)
         grads = [g_beta] if p else []
         if np.any(~frozen):
             grads.append(g_theta[~frozen])

@@ -110,6 +110,18 @@ def _validate_grid(grid: np.ndarray, partition: Partition) -> np.ndarray:
     return grid
 
 
+def _subject_survival(X: np.ndarray, beta: np.ndarray,
+                      lam: np.ndarray) -> np.ndarray:
+    """(n, T) survival exp(-exp(x_i'beta) Lambda0(t)) of each subject.
+
+    The product with Lambda0(t) = 0 is taken as 0, so survival is 1 there
+    even where the rate exp(x_i'beta) overflowed.
+    """
+    cum = np.multiply(np.exp(X @ beta)[:, None], lam,
+                      out=np.zeros((len(X), len(lam))), where=lam > 0)
+    return np.exp(-cum)
+
+
 def gcompute(posterior, ref: int = 0, b: int = 1000,
              grid: np.ndarray | None = None, seed: int | None = None,
              bb_weights: bool = True) -> GcompResult:
@@ -158,11 +170,9 @@ def gcompute(posterior, ref: int = 0, b: int = 1000,
             pi = np.full(n, 1.0 / n)
         lam = cum_base_hazard(theta_draws[m], partition, sorted_grid)
         for a in (0, 1):
-            # Lambda0(0) = 0 gives survival 1 even where the rate overflowed
-            cum = np.multiply(np.exp(arms[a] @ beta_draws[m])[:, None], lam,
-                              out=np.zeros((n, T)), where=lam > 0)
             # cell j: simulations failing in (t_{j-1}, t_j], clipped at 0
-            cells = -np.diff(np.exp(-cum), axis=1, prepend=1.0, append=0.0)
+            cells = -np.diff(_subject_survival(arms[a], beta_draws[m], lam),
+                             axis=1, prepend=1.0, append=0.0)
             counts = rng.multinomial(b, np.maximum(cells, 0.0, out=cells))
             mass = pi @ counts / b
             surv[a][m, order] = np.cumsum(mass[::-1])[::-1][1:]
@@ -196,6 +206,5 @@ def exact_marginal_survival(posterior, ref: int, grid: np.ndarray,
     for m in range(M):
         lam0 = cum_base_hazard(theta_draws[m], partition, grid)   # (T,)
         for a in (0, 1):
-            rate = np.exp(arms[a] @ beta_draws[m])                # (n,)
-            out[a][m] = pi @ np.exp(-rate[:, None] * lam0[None, :])
+            out[a][m] = pi @ _subject_survival(arms[a], beta_draws[m], lam0)
     return out[ref], out[1 - ref], out[1 - ref] - out[ref]

@@ -29,8 +29,7 @@ from .formula import DesignMatrix
 __all__ = [
     "Partition", "PersonTime", "ParameterState", "PriorConfig", "HazardModel",
     "make_partition", "expand_person_time", "log_likelihood", "log_prior",
-    "to_unconstrained", "from_unconstrained", "log_posterior_grad",
-    "cum_base_hazard",
+    "to_unconstrained", "from_unconstrained", "cum_base_hazard",
 ]
 
 INDEPENDENT = "independent"
@@ -170,11 +169,14 @@ class _PoissonLikelihood:
         r = np.exp(self.X @ beta)
         return exp_t, cumhaz, r
 
+    def _value(self, theta, beta, cumhaz, r) -> float:
+        return float(self.delta @ theta[self.ks0] + self.Xt_delta @ beta
+                     + self.sum_delta_log_dt - r @ cumhaz)
+
     def value(self, theta: np.ndarray, beta: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             _, cumhaz, r = self._common(theta, beta)
-            return float(self.delta @ theta[self.ks0] + self.Xt_delta @ beta
-                         + self.sum_delta_log_dt - r @ cumhaz)
+            return self._value(theta, beta, cumhaz, r)
 
     def exposure(self, r: np.ndarray) -> np.ndarray:
         """Rate-weighted exposure per interval: A_k = sum_{i at risk in k} r_i dt_ik."""
@@ -182,13 +184,16 @@ class _PoissonLikelihood:
         Gd = np.bincount(self.ks0, weights=r * self.dt_last, minlength=self.K)
         return self.dtau * (r.sum() - np.cumsum(G)) + Gd
 
-    def value_and_grad(self, theta, beta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            exp_t, cumhaz, r = self._common(theta, beta)
-            value = float(self.delta @ theta[self.ks0] + self.Xt_delta @ beta
-                          + self.sum_delta_log_dt - r @ cumhaz)
-            g_theta = self.d_events - exp_t * self.exposure(r)
-            g_beta = self.Xt_delta - self.X.T @ (r * cumhaz)
+    def value_and_grad(self, theta, beta, with_value: bool = True):
+        """(log-likelihood, theta gradient, beta gradient).
+
+        The value is None unless ``with_value``. Floating-point warnings are
+        left to the caller.
+        """
+        exp_t, cumhaz, r = self._common(theta, beta)
+        value = self._value(theta, beta, cumhaz, r) if with_value else None
+        g_theta = self.d_events - exp_t * self.exposure(r)
+        g_beta = self.Xt_delta - self.X.T @ (r * cumhaz)
         return value, g_theta, g_beta
 
     def hessian_blocks(self, theta, beta):
@@ -247,56 +252,78 @@ class HazardModel:
         return theta, beta, eta, zrho, w
 
     def log_posterior_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        """Log posterior density (likelihood + prior + Jacobian) and its gradient."""
-        cfg = self.config
-        theta, beta, eta, zrho, w = self.split(z)
-        grad = np.empty_like(z)
+        """Log posterior density (likelihood + prior + Jacobian) and its gradient.
+
+        A density that is not finite is reported as -inf.
+        """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rho = np.tanh(zrho) if cfg.has_rho else 0.0
-            nu = np.exp(w)
-
-            ll, g_theta, g_beta = self.likelihood.value_and_grad(theta, beta)
-
-            e = _process_residuals(theta, eta, rho)
-            s = e / nu**2
-            value = ll
-            # AR(1)/independent process density for theta
-            value += -w.sum() - 0.5 * self.K * _LOG_2PI - 0.5 * (e @ s)
-            # beta ~ N(0, sigma^2 I)
-            value += (-0.5 * self.p * math.log(2.0 * math.pi * cfg.sigma**2)
-                      - 0.5 * (beta @ beta) / cfg.sigma**2)
-            # eta ~ N(0, 1)
-            value += -0.5 * _LOG_2PI - 0.5 * eta * eta
-            # nu_k ~ Gamma(1, 1), plus the log-nu Jacobian
-            value += -nu.sum() + w.sum()
-
-            g_theta = g_theta - s
-            if self.K > 1:
-                g_theta[:-1] += rho * s[1:]
-            grad[:self.K] = g_theta
-            grad[self.K:self.K + self.p] = g_beta - beta / cfg.sigma**2
-            grad[self.K + self.p] = (s[0] + (1.0 - rho) * s[1:].sum() - eta)
-            off = self.K + self.p + 1
-            if cfg.has_rho:
-                # rho ~ scaled Beta(2,2): log(3/4) + log(1 - rho^2), plus the
-                # atanh Jacobian log(1 - rho^2)
-                one_m_r2 = 1.0 - rho * rho
-                if one_m_r2 > 0:
-                    value += math.log(0.75) + 2.0 * math.log(one_m_r2)
-                    d_rho = (s[1:] @ (theta[:-1] - eta)) if self.K > 1 else 0.0
-                    # chain rule through rho = tanh(zrho); the prior and
-                    # Jacobian terms each contribute -2 rho directly
-                    grad[off] = d_rho * one_m_r2 - 4.0 * rho
-                else:
-                    value = -math.inf
-                    grad[off] = 0.0
-                off += 1
-            # d/dw of process + Gamma prior + Jacobian
-            grad[off:] = e * s - nu
-
+            value, grad = self._posterior(z, with_value=True)
         if not np.isfinite(value):
             return -math.inf, grad
         return float(value), grad
+
+    def grad(self, z: np.ndarray) -> np.ndarray:
+        """Gradient of the log posterior alone, for interior leapfrog steps.
+
+        Bitwise equal to the gradient of ``log_posterior_grad``. At a
+        saturated rho, where the density is -inf, the rho entry is NaN, so a
+        caller that checks only the gradient still sees the point as
+        divergent. Floating-point warnings are left to the caller.
+        """
+        return self._posterior(z, with_value=False)[1]
+
+    def _posterior(self, z: np.ndarray, with_value: bool):
+        """The one posterior kernel: (density or None, gradient)."""
+        cfg = self.config
+        theta, beta, eta, zrho, w = self.split(z)
+        grad = np.empty_like(z)
+        rho = np.tanh(zrho) if cfg.has_rho else 0.0
+        nu = np.exp(w)
+
+        ll, g_theta, g_beta = self.likelihood.value_and_grad(theta, beta,
+                                                              with_value)
+        e = _process_residuals(theta, eta, rho)
+        s = e / nu**2
+
+        g_theta = g_theta - s
+        if self.K > 1:
+            g_theta[:-1] += rho * s[1:]
+        grad[:self.K] = g_theta
+        grad[self.K:self.K + self.p] = g_beta - beta / cfg.sigma**2
+        grad[self.K + self.p] = (s[0] + (1.0 - rho) * s[1:].sum() - eta)
+        off = self.K + self.p + 1
+        if cfg.has_rho:
+            # rho ~ scaled Beta(2,2): log(3/4) + log(1 - rho^2), plus the
+            # atanh Jacobian log(1 - rho^2)
+            one_m_r2 = 1.0 - rho * rho
+            if one_m_r2 > 0:
+                d_rho = (s[1:] @ (theta[:-1] - eta)) if self.K > 1 else 0.0
+                # chain rule through rho = tanh(zrho); the prior and
+                # Jacobian terms each contribute -2 rho directly
+                grad[off] = d_rho * one_m_r2 - 4.0 * rho
+            else:
+                grad[off] = math.nan
+            off += 1
+        # d/dw of process + Gamma prior + Jacobian
+        grad[off:] = e * s - nu
+        if not with_value:
+            return None, grad
+
+        value = (ll
+                 # AR(1)/independent process density for theta
+                 + (-w.sum() - 0.5 * self.K * _LOG_2PI - 0.5 * (e @ s))
+                 # beta ~ N(0, sigma^2 I)
+                 + (-0.5 * self.p * math.log(2.0 * math.pi * cfg.sigma**2)
+                    - 0.5 * (beta @ beta) / cfg.sigma**2)
+                 # eta ~ N(0, 1)
+                 + (-0.5 * _LOG_2PI - 0.5 * eta * eta)
+                 # nu_k ~ Gamma(1, 1), plus the log-nu Jacobian
+                 + (-nu.sum() + w.sum()))
+        if cfg.has_rho:
+            value = (value + (math.log(0.75) + 2.0 * math.log(one_m_r2))
+                     if one_m_r2 > 0 else -math.inf)
+        return value, grad
+
 
 def log_likelihood(state: ParameterState, design, person_time: PersonTime,
                    delta: np.ndarray | None = None) -> float:
@@ -371,14 +398,6 @@ def from_unconstrained(z: np.ndarray, config: PriorConfig) -> tuple[ParameterSta
     log_jac += float(w.sum())
     return ParameterState(theta_tilde=theta, beta=beta, eta=eta, rho=rho,
                           nu=nu), log_jac
-
-
-def log_posterior_grad(z: np.ndarray, model: HazardModel,
-                       config: PriorConfig | None = None):
-    """Module-level convenience wrapper around HazardModel.log_posterior_grad."""
-    if config is not None and config != model.config:
-        raise DataError("config does not match the model's prior config")
-    return model.log_posterior_grad(np.asarray(z, dtype=float))
 
 
 def cum_base_hazard(theta: np.ndarray, partition: Partition, t) -> np.ndarray | float:

@@ -6,6 +6,12 @@ Step size is tuned during warmup by Nesterov dual averaging (gamma=0.05,
 t0=10, kappa=0.75) toward a target acceptance rate, then frozen at the
 averaged iterate. No mass-matrix adaptation, no NUTS.
 
+Interior leapfrog steps need only the gradient, so a trajectory evaluates
+the log density once, at its end point, for the Metropolis test. The draws
+are the same as when every step evaluated it: the gradient is computed the
+same way, and at a saturated rho, where only the density is -inf, it is
+NaN, so the same trajectories are flagged divergent.
+
 Randomness comes from numpy's counter-based Philox generator. Chain c of a
 run with seed s uses ``SeedSequence(s, spawn_key=(c,))``, so multi-chain
 results are reproducible bit-for-bit and independent of execution order.
@@ -72,31 +78,39 @@ class LeapfrogResult(NamedTuple):
 
 def leapfrog(position: np.ndarray, momentum: np.ndarray, step_size: float,
              n_steps: int, grad_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
-             value_grad: tuple[float, np.ndarray] | None = None) -> LeapfrogResult:
+             value_grad: tuple[float, np.ndarray] | None = None,
+             grad_only: Callable[[np.ndarray], np.ndarray] | None = None
+             ) -> LeapfrogResult:
     """Integrate Hamilton's equations for ``n_steps`` velocity-Verlet steps.
 
     ``grad_fn(q) -> (log density, gradient)``; the mass matrix is the
-    identity. Reversible: negating the final momentum and integrating again
-    returns to the start up to floating-point error.
+    identity. If ``grad_only(q) -> gradient`` is given, it serves every step
+    but the last, so the density is evaluated once, at the end point; it must
+    return a non-finite gradient wherever the density is -inf. Reversible:
+    negating the final momentum and integrating again returns to the start
+    up to floating-point error.
     """
     q = np.array(position, dtype=float)
     p = np.array(momentum, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if value_grad is None:
-            value, grad = grad_fn(q)
-        else:
-            value, grad = value_grad
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, grad = grad_fn(q) if value_grad is None else value_grad
+        if not (np.isfinite(value) and np.isfinite(grad).all()):
             return LeapfrogResult(q, p, -math.inf, grad, True)
         p = p + 0.5 * step_size * grad
         for step in range(n_steps):
             q = q + step_size * p
-            if not np.all(np.isfinite(q)):
+            if not np.isfinite(q).all():
                 return LeapfrogResult(q, p, -math.inf, grad, True)
-            value, grad = grad_fn(q)
-            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            last = step == n_steps - 1
+            if grad_only is None or last:
+                value, grad = grad_fn(q)
+                finite = np.isfinite(value) and np.isfinite(grad).all()
+            else:
+                grad = grad_only(q)
+                finite = np.isfinite(grad).all()
+            if not finite:
                 return LeapfrogResult(q, p, -math.inf, grad, True)
-            p = p + (step_size if step < n_steps - 1 else 0.5 * step_size) * grad
+            p = p + (0.5 * step_size if last else step_size) * grad
     return LeapfrogResult(q, p, value, grad, False)
 
 
@@ -161,13 +175,16 @@ class ChainResult:
 
 
 def run_hmc_chain(grad_fn, dim: int, config: SamplerConfig,
-                  rng: np.random.Generator) -> ChainResult:
-    """Run warmup + retained iterations of static HMC on one target."""
+                  rng: np.random.Generator, grad_only=None) -> ChainResult:
+    """Run warmup + retained iterations of static HMC on one target.
+
+    ``grad_fn`` and the optional ``grad_only`` are as in ``leapfrog``.
+    """
     q = None
     for _ in range(MAX_INIT_RETRIES):
         cand = rng.uniform(-config.init_jitter, config.init_jitter, dim)
         value, grad = grad_fn(cand)
-        if np.isfinite(value) and np.all(np.isfinite(grad)):
+        if np.isfinite(value) and np.isfinite(grad).all():
             q = cand
             break
     if q is None:
@@ -184,7 +201,8 @@ def run_hmc_chain(grad_fn, dim: int, config: SamplerConfig,
     for it in range(config.warmup + config.post_iter):
         p = rng.standard_normal(dim)
         h0 = -value + 0.5 * float(p @ p)
-        res = leapfrog(q, p, step, n_leap, grad_fn, value_grad=(value, grad))
+        res = leapfrog(q, p, step, n_leap, grad_fn, value_grad=(value, grad),
+                       grad_only=grad_only)
         if res.diverged:
             accept_prob, diverged = 0.0, True
         else:
@@ -316,7 +334,7 @@ def sample(data: Dataset, formula_spec: FormulaSpec, prior_config: PriorConfig,
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(sampler_config.seed, spawn_key=(c,))))
         return run_hmc_chain(model.log_posterior_grad, model.dim,
-                             sampler_config, rng)
+                             sampler_config, rng, grad_only=model.grad)
 
     n_chains = sampler_config.chains
     workers = sampler_config.threads or n_chains

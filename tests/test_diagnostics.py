@@ -120,16 +120,37 @@ class TestPsrf:
         report = psrf(chains)
         assert report.point[0] > 0.99
 
+    def test_upper_limit_uses_tabulated_f_quantile(self):
+        # two chains with variances phi^2 and 1 give w_df = 10 within-chain
+        # degrees of freedom; the upper limit scales the between-chain part
+        # by F_0.975(1, 10) = 6.9367 from printed tables
+        rng = np.random.default_rng(9)
+        m = 200
+        base = rng.standard_normal(m)
+        base = (base - base.mean()) / base.std(ddof=1)
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        chains = [phi * base, base + 0.3]
+        report = psrf(chains)
+        w = (phi**2 + 1.0) / 2.0
+        b = m * np.var([0.0, 0.3], ddof=1)
+        r2_fixed = (m - 1.0) / m
+        r2_random = 1.5 / m * b / w
+        df_adj = report.point[0]**2 / (r2_fixed + r2_random)
+        fq = (report.upper[0]**2 / df_adj - r2_fixed) / r2_random
+        assert fq == pytest.approx(6.9367, abs=5e-4)
+
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates import time; psrf imports it on first use
+    # scipy.stats dominates import time and memory; psrf does not need it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(causalpch.__file__).resolve().parent.parent)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, causalpch; print('scipy.stats' in sys.modules)"],
+         "import sys, causalpch; before = 'scipy.stats' in sys.modules; "
+         "causalpch.psrf([[1.0, 2.0, 4.0, 3.0], [2.0, 1.0, 0.0, 5.0]]); "
+         "print(before, 'scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

@@ -281,6 +281,15 @@ class TestCountingKernel:
                            rtol=0, atol=1e-12)
         assert np.all(np.isfinite(res.surv_ref))
 
+    def test_exact_plugin_survives_time_zero_when_rate_overflows(self):
+        post = degenerate_posterior(np.full(6, math.log(0.1)), [1000.0, 0.0],
+                                    M=3)
+        _, trt, ate = exact_marginal_survival(post, ref=0,
+                                              grid=np.array([3.0, 0.0, 12.0]))
+        assert np.allclose(trt, np.tile([0.0, 1.0, 0.0], (3, 1)),
+                           rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(ate))
+
     def test_never_allocates_per_simulation(self):
         # peak below one float array of n*B: counts, not simulated times
         n, b = 137, 2000

@@ -306,12 +306,10 @@ class TestLogPosteriorGrad:
             assert np.all(np.abs(grad - fd) <= 1e-5 * (1.0 + np.abs(grad)))
 
     def test_value_decomposes_into_parts(self):
-        from causalpch import log_posterior_grad
-
         rng = np.random.default_rng(14)
         model, cfg = build_model(rng)
         z = rng.uniform(-0.8, 0.8, model.dim)
-        value, _ = log_posterior_grad(z, model, cfg)
+        value, _ = model.log_posterior_grad(z)
         state, log_jac = from_unconstrained(z, cfg)
         ll = log_likelihood(state, model.design, model.likelihood.pt,
                             delta=model.design.delta)
@@ -343,6 +341,34 @@ class TestLogPosteriorGrad:
         z = np.full(model.dim, 200.0)   # exp overflow territory
         value, _ = model.log_posterior_grad(z)
         assert value == -math.inf
+
+
+class TestGradOnly:
+    @pytest.mark.parametrize("kind", ["independent", "ar1"])
+    def test_bitwise_equal_to_log_posterior_grad(self, kind):
+        rng = np.random.default_rng(17)
+        model, _ = build_model(rng, n=30, kind=kind)
+        points = [rng.uniform(-2.0, 2.0, model.dim) for _ in range(20)]
+        for z in points:
+            value, grad = model.log_posterior_grad(z)
+            assert np.isfinite(value)
+            assert model.grad(z).tobytes() == grad.tobytes()
+
+    def test_non_finite_wherever_density_is_minus_inf(self):
+        rng = np.random.default_rng(18)
+        model, _ = build_model(rng, n=30)
+        rho_at = model.K + model.p + 1
+        saturated = rng.uniform(-1.0, 1.0, model.dim)
+        saturated[rho_at] = 40.0            # tanh(40) == 1.0 in doubles
+        overflowing = np.full(model.dim, 200.0)
+        for z in (saturated, overflowing):
+            value, grad = model.log_posterior_grad(z)
+            assert value == -math.inf
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                only = model.grad(z)
+            assert not np.isfinite(only).all()
+            assert only.tobytes() == grad.tobytes()
+        assert np.isfinite(np.delete(model.grad(saturated), rho_at)).all()
 
 
 class TestCumBaseHazard:

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from causalpch import (DataError, NumericalError, PriorConfig,
-                       SamplerConfig, parse_formula, sample, summarize)
+import causalpch.sampler as sampler
+from causalpch import (DataError, HazardModel, NumericalError, PriorConfig,
+                       SamplerConfig, expand_person_time, make_partition,
+                       parse_formula, sample, summarize)
 from causalpch.dataset import Dataset
-from causalpch.sampler import (DualAveraging, leapfrog, run_hmc_chain)
+from causalpch.formula import DesignMatrix, Term
+from causalpch.sampler import (DualAveraging, LeapfrogResult, leapfrog,
+                               run_hmc_chain)
+
+from conftest import random_survival_data
 
 
 def gaussian_target(cov_diag):
@@ -118,6 +124,60 @@ class TestHmcChain:
         rng = np.random.default_rng(0)
         with pytest.raises(NumericalError, match="initialization"):
             run_hmc_chain(hopeless, 3, cfg, rng)
+
+
+def reference_leapfrog(position, momentum, step_size, n_steps, grad_fn,
+                       value_grad=None, grad_only=None):
+    """Density and gradient at every step; stop at the first non-finite one."""
+    q = np.array(position, dtype=float)
+    p = np.array(momentum, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, grad = grad_fn(q) if value_grad is None else value_grad
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            return LeapfrogResult(q, p, -math.inf, grad, True)
+        p = p + 0.5 * step_size * grad
+        for step in range(n_steps):
+            q = q + step_size * p
+            if not np.all(np.isfinite(q)):
+                return LeapfrogResult(q, p, -math.inf, grad, True)
+            value, grad = grad_fn(q)
+            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+                return LeapfrogResult(q, p, -math.inf, grad, True)
+            p = p + (step_size if step < n_steps - 1 else 0.5 * step_size) * grad
+    return LeapfrogResult(q, p, value, grad, False)
+
+
+class TestGradientOnlySteps:
+    @pytest.mark.parametrize("target, seed, diverging",
+                             [(0.9, 1, False), (0.3, 2, True)])
+    def test_chain_matches_reference_integrator(self, monkeypatch, target,
+                                                seed, diverging):
+        # at target 0.3 the step is large enough that trajectories blow up,
+        # some of them at a saturated rho, where only the density is -inf
+        X, y, delta = random_survival_data(np.random.default_rng(0), n=30)
+        part = make_partition(float(y.max()), 5)
+        design = DesignMatrix(X=X, columns=("x0", "x1"),
+                              terms=(Term(("x0",)), Term(("x1",))),
+                              y=y, delta=delta)
+        model = HazardModel(design, expand_person_time(y, part), part,
+                            PriorConfig(model_kind="ar1", K=5))
+        cfg = SamplerConfig(warmup=50, post_iter=50, leapfrog_steps=8,
+                            target_accept=target)
+
+        def run(**kwargs):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed)))
+            return run_hmc_chain(model.log_posterior_grad, model.dim, cfg,
+                                 rng, **kwargs)
+
+        new = run(grad_only=model.grad)
+        monkeypatch.setattr(sampler, "leapfrog", reference_leapfrog)
+        ref = run()
+        assert new.draws.tobytes() == ref.draws.tobytes()
+        assert new.accept_rate == ref.accept_rate
+        assert new.step_size == ref.step_size
+        assert new.divergences == ref.divergences
+        assert (ref.divergences > 0) == diverging
 
 
 def tiny_dataset(n=24, seed=0):
