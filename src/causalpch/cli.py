@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ from .errors import CausalPchError, DataError, NumericalError
 from .formula import DesignMatrix, Term, parse_formula
 from .freq_oracle import pch_mle
 from .gcomp import gcompute
-from .hazard_model import Partition, PriorConfig, expand_person_time
+from .hazard_model import (AR1, INDEPENDENT, Partition, PriorConfig,
+                           expand_person_time)
 from .sampler import HazardPosterior, SamplerConfig, sample
 
 __all__ = ["main"]
@@ -43,6 +45,9 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 _BOOKKEEPING = ("chain", "iter")
+
+# SamplerConfig fields that meta.json records; threads does not change the draws
+_RECORDED = tuple(f.name for f in fields(SamplerConfig) if f.name != "threads")
 
 
 def _fmt(x: float) -> str:
@@ -72,23 +77,16 @@ def write_draws_csv(posterior: HazardPosterior, path) -> None:
 
 def write_meta_json(posterior: HazardPosterior, path, data_path="") -> None:
     design = posterior.design
-    cfg = posterior.config
     meta = {
         "artifact": "causalpch",
         "version": __version__,
         "rng": posterior.rng_name,
-        "seed": cfg.seed,
         "model_kind": posterior.model_kind,
         "K": posterior.K,
         "sigma": posterior.sigma,
         "formula": posterior.formula,
         "treat_col": posterior.treat_col,
-        "warmup": cfg.warmup,
-        "post_iter": cfg.post_iter,
-        "chains": cfg.chains,
-        "leapfrog_steps": cfg.leapfrog_steps,
-        "target_accept": cfg.target_accept,
-        "init_jitter": cfg.init_jitter,
+        **{name: getattr(posterior.config, name) for name in _RECORDED},
         "accept_rate": list(posterior.accept_rate),
         "divergences": list(posterior.divergences),
         "step_sizes": list(posterior.step_sizes),
@@ -147,6 +145,9 @@ def read_meta_json(path) -> dict:
 def posterior_from_files(draws_path, meta_path) -> HazardPosterior:
     """Rebuild a HazardPosterior from draws.csv + meta.json."""
     meta = read_meta_json(meta_path)
+    if not isinstance(meta, dict) or meta.get("artifact") != "causalpch":
+        raise DataError(f"{meta_path}: not a causalpch fit record "
+                        "(artifact is not 'causalpch')")
     names, mat = read_numeric_csv(draws_path)
     try:
         partition = Partition(endpoints=np.asarray(meta["partition"]["endpoints"]))
@@ -156,18 +157,12 @@ def posterior_from_files(draws_path, meta_path) -> HazardPosterior:
             columns=tuple(meta["design_columns"]), terms=terms,
             y=np.asarray(meta["y"], dtype=float),
             delta=np.asarray(meta["delta"], dtype=float))
-        config = SamplerConfig(
-            warmup=meta["warmup"], post_iter=meta["post_iter"],
-            chains=meta["chains"], seed=meta["seed"],
-            leapfrog_steps=meta["leapfrog_steps"],
-            target_accept=meta["target_accept"],
-            init_jitter=meta.get("init_jitter", 1.0))
+        config = SamplerConfig(**{name: meta[name] for name in _RECORDED})
         posterior = HazardPosterior(
             draws=np.empty((0, 0)), chain_ids=np.empty(0, int),
             iter_ids=np.empty(0, int), partition=partition,
             model_kind=meta["model_kind"], sigma=meta["sigma"],
-            formula=meta["formula"], term_names=tuple(meta["design_columns"]),
-            treat_col=meta["treat_col"], design=design,
+            formula=meta["formula"], treat_col=meta["treat_col"], design=design,
             accept_rate=tuple(meta["accept_rate"]),
             divergences=tuple(meta["divergences"]),
             step_sizes=tuple(meta["step_sizes"]), config=config,
@@ -181,6 +176,11 @@ def posterior_from_files(draws_path, meta_path) -> HazardPosterior:
             f"{draws_path}: columns do not match {meta_path} "
             f"(expected {len(expected)} columns starting "
             f"theta_1..theta_{posterior.K}, got {len(names)})")
+    labels = sorted(set(mat[:, -2].tolist()))  # np.unique imports numpy.ma
+    if (len(mat) != config.chains * config.post_iter
+            or not np.array_equal(labels, np.arange(1, config.chains + 1))):
+        raise DataError(f"{draws_path}: {len(mat)} draws in chains {labels}, but "
+                        f"{meta_path} records {config.chains} x {config.post_iter}")
     posterior.draws = mat[:, :-2]
     posterior.chain_ids = mat[:, -2].astype(int)
     posterior.iter_ids = mat[:, -1].astype(int)
@@ -196,73 +196,54 @@ def write_matrix_csv(path, header: list[str], mat: np.ndarray) -> None:
 
 # ---------------------------------------------------------------- commands
 
-def _merge_config_file(args, parser_dests: set[str]) -> dict:
-    """Load --config JSON (flat flag-name keys); explicit flags win."""
-    if not getattr(args, "config", None):
-        return {}
-    raw = read_meta_json(args.config)
+def _config_settings(path) -> dict:
+    """--config JSON keys, each parsed as the fit flag it names; by dest."""
+    raw = read_meta_json(path)
     if not isinstance(raw, dict):
-        raise DataError(f"{args.config}: config must be a JSON object")
-    out = {}
+        raise DataError(f"{path}: config must be a JSON object")
+    flags = _add_fit_flags(_Parser(prog="causalpch fit --config",
+                                   add_help=False, allow_abbrev=False))
+    settings = {}
     for key, value in raw.items():
-        dest = key.replace("-", "_")
-        if dest not in parser_dests:
-            raise DataError(f"{args.config}: unknown config key {key!r}")
-        out[dest] = value
-    return out
+        try:
+            parsed = flags.parse_args([f"--{key}={value}"])
+        except _UsageError as exc:
+            raise DataError(f"{path}: config key {key!r}: {exc}") from None
+        settings.update((k, v) for k, v in vars(parsed).items() if v is not None)
+    return settings
 
 
-_FIT_DESTS = {"data", "formula", "time_col", "event_col", "treat_col", "model",
-              "partitions", "sigma", "warmup", "iters", "chains", "seed",
-              "leapfrog_steps", "target_accept", "init_jitter", "threads",
-              "out_dir"}
+def _from_settings(cls, settings: dict):
+    """``cls`` from the settings named by its fields; the rest take defaults."""
+    return cls(**{f.name: settings[f.name] for f in fields(cls)
+                  if f.name in settings})
 
 
 def cmd_fit(args) -> int:
-    file_cfg = _merge_config_file(args, _FIT_DESTS)
-    def opt(name, cast=None):
-        val = getattr(args, name)
-        if val is None:
-            val = file_cfg.get(name)
-        if val is not None and cast is not None:
-            try:
-                val = cast(val)
-            except (TypeError, ValueError):
-                raise DataError(f"invalid value for {name!r}: {val!r}") from None
-        return val
-
-    data_path = opt("data")
-    formula_text = opt("formula")
+    settings = {**(_config_settings(args.config) if args.config else {}),
+                **{k: v for k, v in vars(args).items() if v is not None}}
+    data_path = settings.get("data")
+    formula_text = settings.get("formula")
     if not data_path or not formula_text:
         raise _UsageError("fit requires --data and --formula "
                           "(directly or via --config)")
     spec = parse_formula(formula_text)
-    time_col = opt("time_col") or spec.time_var
-    event_col = opt("event_col") or spec.event_var
+    time_col = settings.get("time_col") or spec.time_var
+    event_col = settings.get("event_col") or spec.event_var
     if time_col != spec.time_var or event_col != spec.event_var:
         raise DataError(
             f"--time-col/--event-col ({time_col!r}, {event_col!r}) disagree "
             f"with the formula's Surv({spec.time_var}, {spec.event_var})")
-    treat_col = opt("treat_col") or "A"
+    treat_col = settings.get("treat_col") or "A"
 
     dataset = load_csv(data_path, time_col=time_col, event_col=event_col,
                        treat_col=treat_col)
-    prior = PriorConfig(model_kind=opt("model", str) or "independent",
-                        sigma=opt("sigma", float) if opt("sigma") is not None else 3.0,
-                        K=opt("partitions", int) if opt("partitions") is not None else 100)
-    sampler_config = SamplerConfig(
-        warmup=opt("warmup", int) if opt("warmup") is not None else 1000,
-        post_iter=opt("iters", int) if opt("iters") is not None else 1000,
-        chains=opt("chains", int) if opt("chains") is not None else 1,
-        seed=opt("seed", int) if opt("seed") is not None else 0,
-        leapfrog_steps=opt("leapfrog_steps", int) if opt("leapfrog_steps") is not None else 32,
-        target_accept=opt("target_accept", float) if opt("target_accept") is not None else 0.8,
-        init_jitter=opt("init_jitter", float) if opt("init_jitter") is not None else 1.0,
-        threads=opt("threads", int) if opt("threads") is not None else 1)
+    prior = _from_settings(PriorConfig, settings)
+    sampler_config = _from_settings(SamplerConfig, settings)
 
     posterior = sample(dataset, spec, prior, sampler_config)
 
-    out_dir = Path(opt("out_dir") or ".")
+    out_dir = Path(settings.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_draws_csv(posterior, out_dir / "draws.csv")
     write_meta_json(posterior, out_dir / "meta.json", data_path=data_path)
@@ -394,6 +375,37 @@ def cmd_hazard_export(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _add_fit_flags(fit: _Parser) -> _Parser:
+    """Flags that set a PriorConfig/SamplerConfig field have its name as dest;
+    all default to None, so --config, then the class, fill what is not given."""
+    fit.add_argument("--data", help="subject-level CSV file")
+    fit.add_argument("--formula", help='e.g. "Surv(y, delta) ~ A + age"')
+    fit.add_argument("--time-col", dest="time_col")
+    fit.add_argument("--event-col", dest="event_col")
+    fit.add_argument("--treat-col", dest="treat_col",
+                     help="binary treatment column (default A)")
+    fit.add_argument("--model", dest="model_kind", choices=[INDEPENDENT, AR1])
+    fit.add_argument("--partitions", dest="K", type=int,
+                     help=f"interval count K (default {PriorConfig.K})")
+    fit.add_argument("--sigma", type=float, help="prior SD for coefficients "
+                                                 f"(default {PriorConfig.sigma:g})")
+    fit.add_argument("--warmup", type=int)
+    fit.add_argument("--iters", dest="post_iter", type=int, metavar="ITERS",
+                     help="retained draws per chain "
+                          f"(default {SamplerConfig.post_iter})")
+    fit.add_argument("--chains", type=int)
+    fit.add_argument("--seed", type=int)
+    fit.add_argument("--leapfrog-steps", dest="leapfrog_steps", type=int)
+    fit.add_argument("--target-accept", dest="target_accept", type=float)
+    fit.add_argument("--init-jitter", dest="init_jitter", type=float)
+    fit.add_argument("--threads", type=int,
+                     help="worker threads for chains, at least 1 (default "
+                          f"{SamplerConfig.threads}; 1 runs the chains one "
+                          "after another)")
+    fit.add_argument("--out-dir", dest="out_dir")
+    return fit
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="causalpch",
                      description="Bayesian piecewise-exponential hazard "
@@ -402,27 +414,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="sample the hazard-model posterior")
-    fit.add_argument("--data", help="subject-level CSV file")
-    fit.add_argument("--formula", help='e.g. "Surv(y, delta) ~ A + age"')
-    fit.add_argument("--time-col", dest="time_col")
-    fit.add_argument("--event-col", dest="event_col")
-    fit.add_argument("--treat-col", dest="treat_col",
-                     help="binary treatment column (default A)")
-    fit.add_argument("--model", choices=["independent", "ar1"])
-    fit.add_argument("--partitions", type=int, help="interval count K (default 100)")
-    fit.add_argument("--sigma", type=float, help="prior SD for coefficients (default 3)")
-    fit.add_argument("--warmup", type=int)
-    fit.add_argument("--iters", type=int, help="retained draws per chain (default 1000)")
-    fit.add_argument("--chains", type=int)
-    fit.add_argument("--seed", type=int)
-    fit.add_argument("--leapfrog-steps", dest="leapfrog_steps", type=int)
-    fit.add_argument("--target-accept", dest="target_accept", type=float)
-    fit.add_argument("--init-jitter", dest="init_jitter", type=float)
-    fit.add_argument("--threads", type=int,
-                     help="worker threads for chains (default 1: chains "
-                          "run one after another)")
-    fit.add_argument("--config", help="flat JSON config; flags override it")
-    fit.add_argument("--out-dir", dest="out_dir")
+    _add_fit_flags(fit)
+    fit.add_argument("--config", help="flat JSON config keyed by flag name; "
+                                      "flags override it")
     fit.set_defaults(func=cmd_fit)
 
     gcomp = sub.add_parser("gcomp", help="posterior g-computation")

@@ -117,8 +117,9 @@ def _subject_survival(X: np.ndarray, beta: np.ndarray,
     The product with Lambda0(t) = 0 is taken as 0, so survival is 1 there
     even where the rate exp(x_i'beta) overflowed.
     """
-    cum = np.multiply(np.exp(X @ beta)[:, None], lam,
-                      out=np.zeros((len(X), len(lam))), where=lam > 0)
+    with np.errstate(over="ignore"):
+        cum = np.multiply(np.exp(X @ beta)[:, None], lam,
+                          out=np.zeros((len(X), len(lam))), where=lam > 0)
     return np.exp(-cum)
 
 

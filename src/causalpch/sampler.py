@@ -66,6 +66,8 @@ class SamplerConfig:
             raise DataError("chains must be >= 1")
         if not 0.0 < self.target_accept < 1.0:
             raise DataError("target_accept must be in (0, 1)")
+        if self.threads is not None and self.threads < 1:
+            raise DataError(f"threads must be >= 1, got {self.threads!r}")
 
 
 class LeapfrogResult(NamedTuple):
@@ -240,7 +242,6 @@ class HazardPosterior:
     model_kind: str
     sigma: float
     formula: str
-    term_names: tuple[str, ...]
     treat_col: str
     design: DesignMatrix
     accept_rate: tuple[float, ...]
@@ -252,6 +253,10 @@ class HazardPosterior:
     @property
     def K(self) -> int:
         return self.partition.K
+
+    @property
+    def term_names(self) -> tuple[str, ...]:
+        return self.design.columns
 
     @property
     def p(self) -> int:
@@ -360,8 +365,7 @@ def sample(data: Dataset, formula_spec: FormulaSpec, prior_config: PriorConfig,
         draws=draws, chain_ids=chain_ids, iter_ids=iter_ids,
         partition=partition, model_kind=prior_config.model_kind,
         sigma=prior_config.sigma, formula=format_formula(formula_spec),
-        term_names=tuple(design.columns), treat_col=data.treat_col,
-        design=design,
+        treat_col=data.treat_col, design=design,
         accept_rate=tuple(r.accept_rate for r in results),
         divergences=tuple(r.divergences for r in results),
         step_sizes=tuple(r.step_size for r in results),

@@ -95,13 +95,39 @@ class TestFit:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["model_kind"] == "independent"   # flag beats file
         assert meta["K"] == 3
+        assert meta["leapfrog_steps"] == 6            # file beats class default
+        assert (meta["warmup"], meta["post_iter"]) == (30, 20)
 
-    def test_unknown_config_key(self, tmp_path, tiny_csv):
+    @pytest.mark.parametrize("key, value", [
+        ("no_such_key", 1),
+        ("leapfrog_steps", 6),       # names a dest, not a flag
+        ("iter", 5),                 # flags are not abbreviated
+        ("config", "other.json"),
+        ("iters", True),
+        ("partitions", 3.7),
+        ("chains", 2.9),
+        ("model", "foo"),
+    ], ids=str)
+    def test_unknown_config_key(self, tmp_path, tiny_csv, capsys, key, value):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"no_such_key": 1}))
+        cfg_path.write_text(json.dumps({key: value}))
         rc = main(["fit", "--config", str(cfg_path), "--data", str(tiny_csv),
-                   "--formula", "Surv(y, delta) ~ A"])
+                   "--formula", "Surv(y, delta) ~ A",
+                   "--out-dir", str(tmp_path / "never")])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and repr(key) in err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_code(self, tmp_path, tiny_csv, capsys,
+                                         threads):
+        rc = main(["fit", "--data", str(tiny_csv),
+                   "--formula", "Surv(y, delta) ~ A",
+                   "--warmup", "10", "--iters", "10", "--threads", threads,
+                   "--out-dir", str(tmp_path / "never")])
+        assert rc == 2
+        assert "threads" in capsys.readouterr().err
 
     def test_missing_required(self):
         assert main(["fit"]) == 1
@@ -228,6 +254,34 @@ class TestGcomp:
         assert rc == 2
         assert "not identified" in capsys.readouterr().err
         assert not (tmp_path / "gc_one_arm" / "ate.csv").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "chain_labels",
+                                        "artifact"])
+    @pytest.mark.parametrize("command", ["gcomp", "hazard-export"])
+    def test_inconsistent_fit_files_exit_code(self, tmp_path, tiny_csv,
+                                              capsys, damage, command):
+        fit = run_fit(tmp_path, tiny_csv)
+        draws, meta = fit / "draws.csv", fit / "meta.json"
+        lines = draws.read_text().splitlines()
+        if damage == "truncated":
+            draws.write_text("\n".join(lines[:-1]) + "\n")
+        elif damage == "chain_labels":
+            relabeled = [line.rsplit(",", 2) for line in lines[1:]]
+            draws.write_text("\n".join(
+                [lines[0]] + [f"{head},2,{it}" for head, _, it in relabeled])
+                + "\n")
+        else:
+            record = json.loads(meta.read_text())
+            record["artifact"] = "other"
+            meta.write_text(json.dumps(record))
+        out = tmp_path / "out"
+        argv = (["gcomp", "--B", "8", "--out-dir", str(out)]
+                if command == "gcomp"
+                else ["hazard-export", "--out", str(out)])
+        rc = main(argv + ["--draws", str(draws), "--meta", str(meta)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mismatched_meta(self, tmp_path, tiny_csv):
         fit_a = run_fit(tmp_path, tiny_csv, out="mm_a")

@@ -82,8 +82,8 @@ def synthetic_posterior(M=40, n=12, K=6, seed=0, beta_a=0.4, identical=False):
         draws=draws, chain_ids=np.ones(M, int),
         iter_ids=np.arange(1, M + 1), partition=part,
         model_kind="independent", sigma=3.0,
-        formula="Surv(y, delta) ~ A + x", term_names=("A", "x"),
-        treat_col="A", design=design, accept_rate=(0.9,), divergences=(0,),
+        formula="Surv(y, delta) ~ A + x", treat_col="A", design=design,
+        accept_rate=(0.9,), divergences=(0,),
         step_sizes=(0.1,), config=SamplerConfig(warmup=10, post_iter=M, seed=3))
 
 
