@@ -9,16 +9,20 @@ Subcommands::
     hazard-export  plot-ready baseline hazard (posterior band + MLE overlay)
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
-failure. Floats are serialized with 17 significant digits, so emitted CSVs
-re-parse bit-exactly. draws.csv stores constrained parameters per retained
-draw: theta_1..theta_K (log baseline-hazard levels), one column per formula
-term, eta, rho (AR1 only), nu_1..nu_K, then chain and iter labels.
+failure. Every CSV is read by ``dataset.read_csv``, which reports a ragged
+file by its row, and written by ``_write_csv``; meta.json and gcomp_meta.json
+are written by ``_write_json`` and read by ``read_meta_json``. Floats are
+serialized with 17 significant digits, so emitted CSVs re-parse bit-exactly.
+draws.csv stores constrained parameters per retained draw: theta_1..theta_K
+(log baseline-hazard levels), one column per formula term, eta, rho (AR1
+only), nu_1..nu_K, then chain and iter labels. A meta.json whose design,
+terms or partition disagree with each other or with draws.csv exits 2.
+The fit's time and event columns are the ones its formula's Surv() names.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import load_csv
+from .dataset import load_csv, read_csv
 from .diagnostics import psrf, summarize
 from .errors import CausalPchError, DataError, NumericalError
 from .formula import DesignMatrix, Term, parse_formula
@@ -50,10 +54,6 @@ _BOOKKEEPING = ("chain", "iter")
 _RECORDED = tuple(f.name for f in fields(SamplerConfig) if f.name != "threads")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 class _UsageError(Exception):
     pass
 
@@ -65,19 +65,36 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- file I/O
 
-def write_draws_csv(posterior: HazardPosterior, path) -> None:
-    names = list(posterior.param_names) + list(_BOOKKEEPING)
+def _write_csv(path, header, rows) -> None:
+    """Header line, then one line per row. A column whose first cell is a
+    str is written as it is, any other with 17 significant digits, so that
+    it re-parses bit-exactly."""
+    line = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                    for cell in next(iter(rows), ())) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row, chain, it in zip(posterior.draws, posterior.chain_ids,
-                                  posterior.iter_ids):
-            fh.write(",".join(_fmt(v) for v in row)
-                     + f",{int(chain)},{int(it)}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
+def _write_json(path, record: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def write_draws_csv(posterior: HazardPosterior, path) -> None:
+    _write_csv(path, list(posterior.param_names) + list(_BOOKKEEPING),
+               np.column_stack([posterior.draws, posterior.chain_ids,
+                                posterior.iter_ids]))
+
+
+def write_matrix_csv(path, header: list[str], mat: np.ndarray) -> None:
+    _write_csv(path, header, np.atleast_2d(mat))
 
 
 def write_meta_json(posterior: HazardPosterior, path, data_path="") -> None:
     design = posterior.design
-    meta = {
+    _write_json(path, {
         "artifact": "causalpch",
         "version": __version__,
         "rng": posterior.rng_name,
@@ -103,33 +120,16 @@ def write_meta_json(posterior: HazardPosterior, path, data_path="") -> None:
         "delta": design.delta.tolist(),
         "n": design.n,
         "data_path": str(data_path),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a header-plus-floats CSV (draws.csv, ate.csv, ...)."""
+    header, rows = read_csv(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    try:
-        mat = np.array([[float(v) for v in row] for row in rows])
+        return header, np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric cell ({exc})") from None
-    if mat.shape[1] != len(header):
-        raise DataError(f"{path}: ragged rows")
-    return [h.strip() for h in header], mat
 
 
 def read_meta_json(path) -> dict:
@@ -149,49 +149,44 @@ def posterior_from_files(draws_path, meta_path) -> HazardPosterior:
         raise DataError(f"{meta_path}: not a causalpch fit record "
                         "(artifact is not 'causalpch')")
     names, mat = read_numeric_csv(draws_path)
+    if names[-2:] != list(_BOOKKEEPING):
+        raise DataError(f"{draws_path}: the last two columns are not "
+                        f"{' and '.join(_BOOKKEEPING)}")
     try:
-        partition = Partition(endpoints=np.asarray(meta["partition"]["endpoints"]))
-        terms = tuple(Term(tuple(c)) for c in meta["terms"])
-        design = DesignMatrix(
-            X=np.asarray(meta["design_matrix"], dtype=float),
-            columns=tuple(meta["design_columns"]), terms=terms,
-            y=np.asarray(meta["y"], dtype=float),
-            delta=np.asarray(meta["delta"], dtype=float))
         config = SamplerConfig(**{name: meta[name] for name in _RECORDED})
-        posterior = HazardPosterior(
-            draws=np.empty((0, 0)), chain_ids=np.empty(0, int),
-            iter_ids=np.empty(0, int), partition=partition,
+        fit = dict(
+            partition=Partition(endpoints=np.asarray(
+                meta["partition"]["endpoints"], dtype=float)),
             model_kind=meta["model_kind"], sigma=meta["sigma"],
-            formula=meta["formula"], treat_col=meta["treat_col"], design=design,
+            formula=meta["formula"], treat_col=meta["treat_col"],
+            design=DesignMatrix(
+                X=np.asarray(meta["design_matrix"], dtype=float),
+                columns=tuple(meta["design_columns"]),
+                terms=tuple(Term(tuple(c)) for c in meta["terms"]),
+                y=np.asarray(meta["y"], dtype=float),
+                delta=np.asarray(meta["delta"], dtype=float)),
             accept_rate=tuple(meta["accept_rate"]),
             divergences=tuple(meta["divergences"]),
-            step_sizes=tuple(meta["step_sizes"]), config=config,
-            rng_name=meta["rng"])
-    except (KeyError, TypeError) as exc:
+            step_sizes=tuple(meta["step_sizes"]), rng_name=meta["rng"])
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"{meta_path}: missing or malformed field ({exc})") from None
 
+    labels = sorted(set(mat[:, -2].tolist()))  # np.unique imports numpy.ma
+    if (len(mat) != config.chains * config.post_iter
+            or labels != list(range(1, config.chains + 1))):
+        raise DataError(f"{draws_path}: {len(mat)} draws in chains {labels}, but "
+                        f"{meta_path} records {config.chains} x {config.post_iter}")
+    posterior = HazardPosterior(draws=mat[:, :-2],
+                                chain_ids=mat[:, -2].astype(int),
+                                iter_ids=mat[:, -1].astype(int), config=config,
+                                **fit)
     expected = list(posterior.param_names) + list(_BOOKKEEPING)
     if names != expected:
         raise DataError(
             f"{draws_path}: columns do not match {meta_path} "
             f"(expected {len(expected)} columns starting "
             f"theta_1..theta_{posterior.K}, got {len(names)})")
-    labels = sorted(set(mat[:, -2].tolist()))  # np.unique imports numpy.ma
-    if (len(mat) != config.chains * config.post_iter
-            or not np.array_equal(labels, np.arange(1, config.chains + 1))):
-        raise DataError(f"{draws_path}: {len(mat)} draws in chains {labels}, but "
-                        f"{meta_path} records {config.chains} x {config.post_iter}")
-    posterior.draws = mat[:, :-2]
-    posterior.chain_ids = mat[:, -2].astype(int)
-    posterior.iter_ids = mat[:, -1].astype(int)
     return posterior
-
-
-def write_matrix_csv(path, header: list[str], mat: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(mat):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------- commands
@@ -228,16 +223,9 @@ def cmd_fit(args) -> int:
         raise _UsageError("fit requires --data and --formula "
                           "(directly or via --config)")
     spec = parse_formula(formula_text)
-    time_col = settings.get("time_col") or spec.time_var
-    event_col = settings.get("event_col") or spec.event_var
-    if time_col != spec.time_var or event_col != spec.event_var:
-        raise DataError(
-            f"--time-col/--event-col ({time_col!r}, {event_col!r}) disagree "
-            f"with the formula's Surv({spec.time_var}, {spec.event_var})")
-    treat_col = settings.get("treat_col") or "A"
-
-    dataset = load_csv(data_path, time_col=time_col, event_col=event_col,
-                       treat_col=treat_col)
+    dataset = load_csv(data_path, time_col=spec.time_var,
+                       event_col=spec.event_var,
+                       treat_col=settings.get("treat_col") or "A")
     prior = _from_settings(PriorConfig, settings)
     sampler_config = _from_settings(SamplerConfig, settings)
 
@@ -271,17 +259,14 @@ def cmd_gcomp(args) -> int:
                       seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = [_fmt(t) for t in result.times]
+    header = ["%.17g" % t for t in result.times]
     write_matrix_csv(out_dir / "surv_ref.csv", header, result.surv_ref)
     write_matrix_csv(out_dir / "surv_trt.csv", header, result.surv_trt)
     write_matrix_csv(out_dir / "ate.csv", header, result.ate)
-    with open(out_dir / "gcomp_meta.json", "w", encoding="utf-8") as fh:
-        json.dump({"ref": result.ref_level, "B": result.B,
-                   "grid": result.grid_source,
-                   "times": result.times.tolist(), "seed": result.seed,
-                   "draws_file": str(args.draws), "version": __version__},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "gcomp_meta.json", {
+        "ref": result.ref_level, "B": result.B, "grid": result.grid_source,
+        "times": result.times.tolist(), "seed": result.seed,
+        "draws_file": str(args.draws), "version": __version__})
     print(f"wrote surv_ref.csv, surv_trt.csv, ate.csv, gcomp_meta.json "
           f"to {out_dir} ({result.ate.shape[0]} draws x "
           f"{result.ate.shape[1]} times)")
@@ -312,15 +297,11 @@ def cmd_summarize(args) -> int:
                       probs=probs, names=kept_names)
     print(table.to_text())
     out = Path(args.out)
-    header = (["param", "mean", "sd", "naive_se", "ts_se"]
-              + [f"q{p:g}" for p in probs])
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, name in enumerate(table.names):
-            cells = [name, _fmt(table.mean[i]), _fmt(table.sd[i]),
-                     _fmt(table.naive_se[i]), _fmt(table.ts_se[i])]
-            cells += [_fmt(q) for q in table.quantiles[i]]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(out, ["param", "mean", "sd", "naive_se", "ts_se"]
+               + [f"q{p:g}" for p in probs],
+               [[name, table.mean[i], table.sd[i], table.naive_se[i],
+                 table.ts_se[i], *table.quantiles[i]]
+                for i, name in enumerate(table.names)])
     print(f"\nwrote {out}")
     return EXIT_OK
 
@@ -342,10 +323,8 @@ def cmd_diag(args) -> int:
     report = psrf(chains, names=all_names)
     print(report.to_text())
     out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("param,point_est,upper_ci\n")
-        for i, name in enumerate(report.names):
-            fh.write(f"{name},{_fmt(report.point[i])},{_fmt(report.upper[i])}\n")
+    _write_csv(out, ["param", "point_est", "upper_ci"],
+               list(zip(report.names, report.point, report.upper)))
     print(f"\nwrote {out}")
     return EXIT_OK
 
@@ -362,12 +341,9 @@ def cmd_hazard_export(args) -> int:
     person_time = expand_person_time(posterior.design.y, posterior.partition)
     mle = pch_mle(posterior.design, person_time, partition=posterior.partition)
     out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("midpoint,post_mean,lo,hi,mle_hazard\n")
-        for k in range(posterior.K):
-            cells = [posterior.partition.midpoints[k], post_mean[k], lo[k],
-                     hi[k], mle.theta_hat[k]]
-            fh.write(",".join(_fmt(v) for v in cells) + "\n")
+    _write_csv(out, ["midpoint", "post_mean", "lo", "hi", "mle_hazard"],
+               np.column_stack([posterior.partition.midpoints, post_mean, lo,
+                                hi, mle.theta_hat]))
     print(f"wrote {out} ({posterior.K} intervals, "
           f"MLE converged={mle.converged})")
     return EXIT_OK
@@ -380,8 +356,6 @@ def _add_fit_flags(fit: _Parser) -> _Parser:
     all default to None, so --config, then the class, fill what is not given."""
     fit.add_argument("--data", help="subject-level CSV file")
     fit.add_argument("--formula", help='e.g. "Surv(y, delta) ~ A + age"')
-    fit.add_argument("--time-col", dest="time_col")
-    fit.add_argument("--event-col", dest="event_col")
     fit.add_argument("--treat-col", dest="treat_col",
                      help="binary treatment column (default A)")
     fit.add_argument("--model", dest="model_kind", choices=[INDEPENDENT, AR1])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["Dataset", "load_csv", "one_hot"]
+__all__ = ["Dataset", "read_csv", "load_csv", "one_hot"]
 
 _MISSING = {"", "na", "nan", "null", "none"}
 
@@ -84,33 +84,40 @@ def _parse_column(name: str, raw: list[str]) -> np.ndarray:
         return np.array([v.strip() for v in raw], dtype=object)
 
 
-def load_csv(path, time_col: str = "y", event_col: str = "delta",
-             treat_col: str = "A") -> Dataset:
-    """Load a header-full CSV, one-hot encode string columns, validate.
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and the data rows of a CSV file.
 
-    Deterministic: the same file always yields an identical Dataset.
+    Raises DataError when the file cannot be read, is empty, has a row whose
+    field count differs from the header's, or has no data rows.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
+            header = next(reader, None)
             rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-
-    header = [h.strip() for h in header]
-    dupes = {h for h in header if header.count(h) > 1}
-    if dupes:
-        raise DataError(f"{path}: duplicate column names {sorted(dupes)}")
+    if header is None:
+        raise DataError(f"{path}: empty file")
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {i + 1} has {len(row)} fields, "
                             f"expected {len(header)}")
     if not rows:
         raise DataError(f"{path}: no data rows")
+    return [h.strip() for h in header], rows
+
+
+def load_csv(path, time_col: str = "y", event_col: str = "delta",
+             treat_col: str = "A") -> Dataset:
+    """Load a header-full CSV, one-hot encode string columns, validate.
+
+    Deterministic: the same file always yields an identical Dataset.
+    """
+    header, rows = read_csv(path)
+    dupes = {h for h in header if header.count(h) > 1}
+    if dupes:
+        raise DataError(f"{path}: duplicate column names {sorted(dupes)}")
 
     columns: dict[str, np.ndarray] = {}
     for j, name in enumerate(header):

@@ -73,6 +73,17 @@ class DesignMatrix:
     y: np.ndarray                 # observed times
     delta: np.ndarray             # event indicators
 
+    def __post_init__(self):
+        if self.X.ndim != 2 or self.X.shape[1] != len(self.columns):
+            raise DataError(f"design matrix of shape {self.X.shape} does not "
+                            f"have one column per term {list(self.columns)}")
+        if self.y.shape != (self.n,) or self.delta.shape != (self.n,):
+            raise DataError(f"{self.n} design rows, but {self.y.shape} times "
+                            f"and {self.delta.shape} event indicators")
+        if tuple(t.name for t in self.terms) != self.columns:
+            raise DataError(f"terms {[t.name for t in self.terms]} do not "
+                            f"match the columns {list(self.columns)}")
+
     @property
     def n(self) -> int:
         return self.X.shape[0]

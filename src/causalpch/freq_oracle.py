@@ -24,6 +24,8 @@ __all__ = ["MleFit", "pch_mle"]
 
 THETA_FLOOR = -20.0      # log-hazard below this is reported as hazard 0
 BETA_DIVERGED = 20.0     # |beta_j| beyond this flags separation
+MAX_ITER = 200           # Newton steps before giving up
+GRAD_TOL = 1e-8          # converged once every free |gradient| entry is below
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,7 @@ class MleFit:
 
 
 def pch_mle(design, person_time: PersonTime, delta: np.ndarray | None = None,
-            partition: Partition | None = None, max_iter: int = 200,
-            grad_tol: float = 1e-8) -> MleFit:
+            partition: Partition | None = None) -> MleFit:
     """Fit the person-time Poisson model by Newton-Raphson.
 
     ``design`` may be a DesignMatrix (delta taken from it) or a plain n x p
@@ -68,7 +69,7 @@ def pch_mle(design, person_time: PersonTime, delta: np.ndarray | None = None,
     iterations = 0
     separated = False
     max_grad = np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         _, g_theta, g_beta = lik.value_and_grad(theta, beta, with_value=False)
         D, C, F = lik.hessian_blocks(theta, beta)
         free = ~frozen
@@ -109,12 +110,12 @@ def pch_mle(design, person_time: PersonTime, delta: np.ndarray | None = None,
         if np.any(~frozen):
             grads.append(g_theta[~frozen])
         max_grad = max(float(np.abs(g).max()) for g in grads) if grads else 0.0
-        if max_grad < grad_tol:
+        if max_grad < GRAD_TOL:
             break
 
     theta_hat = np.exp(theta)
     theta_hat[frozen] = 0.0
-    converged = (not separated) and max_grad < grad_tol
+    converged = (not separated) and max_grad < GRAD_TOL
     return MleFit(theta_hat=theta_hat, beta_hat=beta, converged=converged,
                   iterations=iterations, max_grad_norm=float(max_grad),
                   separated=separated)

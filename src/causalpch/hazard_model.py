@@ -44,6 +44,12 @@ class Partition:
 
     endpoints: np.ndarray
 
+    def __post_init__(self):
+        e = self.endpoints
+        if e.ndim != 1 or len(e) < 2 or e[0] != 0 or not np.all(e[1:] > e[:-1]):
+            raise DataError("partition endpoints must be at least 2 numbers "
+                            "that start at 0 and increase strictly")
+
     @property
     def K(self) -> int:
         return len(self.endpoints) - 1

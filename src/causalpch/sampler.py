@@ -43,6 +43,10 @@ RNG_NAME = "numpy-philox4x64; chain c uses SeedSequence(seed, spawn_key=(c,))"
 #: when the integrator blows up.
 DIVERGENCE_ENERGY = 1000.0
 
+DA_GAMMA = 0.05
+DA_T0 = 10.0
+DA_KAPPA = 0.75
+
 MAX_INIT_RETRIES = 100
 
 
@@ -119,13 +123,9 @@ def leapfrog(position: np.ndarray, momentum: np.ndarray, step_size: float,
 class DualAveraging:
     """Nesterov dual averaging of log step size (Hoffman-Gelman constants)."""
 
-    def __init__(self, initial_step: float, target: float,
-                 gamma: float = 0.05, t0: float = 10.0, kappa: float = 0.75):
+    def __init__(self, initial_step: float, target: float):
         self.mu = math.log(10.0 * initial_step)
         self.target = target
-        self.gamma = gamma
-        self.t0 = t0
-        self.kappa = kappa
         self.h_bar = 0.0
         self.log_step_bar = math.log(initial_step)
         self.t = 0
@@ -133,10 +133,10 @@ class DualAveraging:
     def update(self, accept_prob: float) -> float:
         """Feed one acceptance probability; returns the next step size."""
         self.t += 1
-        frac = 1.0 / (self.t + self.t0)
+        frac = 1.0 / (self.t + DA_T0)
         self.h_bar = (1.0 - frac) * self.h_bar + frac * (self.target - accept_prob)
-        log_step = self.mu - math.sqrt(self.t) / self.gamma * self.h_bar
-        weight = self.t ** (-self.kappa)
+        log_step = self.mu - math.sqrt(self.t) / DA_GAMMA * self.h_bar
+        weight = self.t ** (-DA_KAPPA)
         self.log_step_bar = weight * log_step + (1.0 - weight) * self.log_step_bar
         return math.exp(log_step)
 

@@ -25,14 +25,15 @@ def tiny_csv(tmp_path):
     return path
 
 
-def run_fit(tmp_path, tiny_csv, out="fit", model="independent", K=4, extra=()):
+def run_fit(tmp_path, tiny_csv, out="fit", model="independent", K=4, extra=(),
+            formula="Surv(y, delta) ~ A + x"):
     out_dir = tmp_path / out
     # ar1 on tiny data needs a cautious step size to stay under the
     # divergence-rate gate
     tuning = ("--target-accept", "0.95", "--warmup", "150") if model == "ar1" \
         else ("--warmup", "60")
     rc = main(["fit", "--data", str(tiny_csv),
-               "--formula", "Surv(y, delta) ~ A + x",
+               "--formula", formula,
                "--model", model, "--partitions", str(K),
                "--iters", "40", "--seed", "9",
                "--leapfrog-steps", "8", *tuning,
@@ -132,11 +133,13 @@ class TestFit:
     def test_missing_required(self):
         assert main(["fit"]) == 1
 
-    def test_time_col_conflict(self, tmp_path, tiny_csv):
+    def test_surv_names_missing_column(self, tmp_path, tiny_csv, capsys):
         rc = main(["fit", "--data", str(tiny_csv),
-                   "--formula", "Surv(y, delta) ~ A",
-                   "--time-col", "other"])
+                   "--formula", "Surv(other, delta) ~ A",
+                   "--out-dir", str(tmp_path / "never")])
         assert rc == 2
+        assert "'other'" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_bad_data_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -188,21 +191,24 @@ class TestGcomp:
 
     def test_user_times(self, tmp_path, tiny_csv, capsys):
         fit = run_fit(tmp_path, tiny_csv)
-        out = tmp_path / "gc2"
-        rc = main(["gcomp", "--draws", str(fit / "draws.csv"),
-                   "--meta", str(fit / "meta.json"), "--times", "3,9",
-                   "--B", "16", "--out-dir", str(out)])
-        assert rc == 0
-        header, mat = read_numeric_csv(out / "ate.csv")
-        assert [float(h) for h in header] == [3.0, 9.0]
-        assert mat.shape == (40, 2)
-        # summarizing the contrast file yields one row per requested time
-        rc = main(["summarize", "--file", str(out / "ate.csv"),
-                   "--out", str(tmp_path / "ate_summary.csv")])
-        assert rc == 0
-        capsys.readouterr()
-        with open(tmp_path / "ate_summary.csv") as fh:
-            assert len(fh.read().splitlines()) == 3   # header + 2 rows
+        # a repeated time repeats a header name, which summarize still reads
+        for times in ("3,9", "3,3"):
+            out = tmp_path / f"gc_{times}"
+            rc = main(["gcomp", "--draws", str(fit / "draws.csv"),
+                       "--meta", str(fit / "meta.json"), "--times", times,
+                       "--B", "16", "--out-dir", str(out)])
+            assert rc == 0
+            header, mat = read_numeric_csv(out / "ate.csv")
+            assert [float(h) for h in header] == [float(t)
+                                                  for t in times.split(",")]
+            assert mat.shape == (40, 2)
+            # summarizing the contrast file yields one row per requested time
+            rc = main(["summarize", "--file", str(out / "ate.csv"),
+                       "--out", str(out / "ate_summary.csv")])
+            assert rc == 0
+            capsys.readouterr()
+            with open(out / "ate_summary.csv") as fh:
+                assert len(fh.read().splitlines()) == 3   # header + 2 rows
 
     def test_gcomp_files_bit_exact_vs_library(self, tmp_path, tiny_csv):
         from causalpch import gcompute
@@ -255,12 +261,27 @@ class TestGcomp:
         assert "not identified" in capsys.readouterr().err
         assert not (tmp_path / "gc_one_arm" / "ate.csv").exists()
 
+    META_DAMAGE = {
+        "artifact": lambda m: m.update(artifact="other"),
+        "narrow_design": lambda m: [row.pop() for row in m["design_matrix"]],
+        "short_y": lambda m: m.update(y=m["y"][:-5]),
+        "empty_design": lambda m: m.update(design_matrix=[]),
+        "ragged_design": lambda m: m["design_matrix"][0].append(1.0),
+        "three_component_term": lambda m: m["terms"][-1].extend(["A", "A"]),
+        # under A*x this drops A:x, which g-computation must rewrite
+        "short_terms": lambda m: m["terms"].pop(),
+        "partition": lambda m: m["partition"]["endpoints"].__setitem__(1, 0.0),
+    }
+
     @pytest.mark.parametrize("damage", ["truncated", "chain_labels",
-                                        "artifact"])
+                                        *META_DAMAGE])
     @pytest.mark.parametrize("command", ["gcomp", "hazard-export"])
     def test_inconsistent_fit_files_exit_code(self, tmp_path, tiny_csv,
                                               capsys, damage, command):
-        fit = run_fit(tmp_path, tiny_csv)
+        # the interaction fit needs a cautious step on the tiny data
+        fit = (run_fit(tmp_path, tiny_csv, formula="Surv(y, delta) ~ A*x",
+                       extra=("--target-accept", "0.95"))
+               if damage == "short_terms" else run_fit(tmp_path, tiny_csv))
         draws, meta = fit / "draws.csv", fit / "meta.json"
         lines = draws.read_text().splitlines()
         if damage == "truncated":
@@ -272,7 +293,7 @@ class TestGcomp:
                 + "\n")
         else:
             record = json.loads(meta.read_text())
-            record["artifact"] = "other"
+            self.META_DAMAGE[damage](record)
             meta.write_text(json.dumps(record))
         out = tmp_path / "out"
         argv = (["gcomp", "--B", "8", "--out-dir", str(out)]
@@ -303,6 +324,15 @@ class TestSummarize:
         assert "Quantiles for each variable" in text
         header, _ = read_numeric_csv_rows(out_csv)
         assert header[:5] == ["param", "mean", "sd", "naive_se", "ts_se"]
+
+    def test_ragged_draws_reported_by_row(self, tmp_path, capsys):
+        path = tmp_path / "draws.csv"
+        path.write_text("a,b,chain,iter\n0.1,0.2,1,1\n0.3,1,2\n0.5,0.6,1,3\n")
+        rc = main(["summarize", "--file", str(path),
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert "row 2 has 3 fields, expected 4" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_constant_column_sd_zero(self, tmp_path):
         path = tmp_path / "flat.csv"
