@@ -17,10 +17,10 @@ from .formula import (DesignMatrix, FormulaSpec, Term, build_design,
 from .freq_oracle import MleFit, pch_mle
 from .gcomp import (BBWeights, GcompResult, apply_intervention,
                     draw_bb_weights, exact_marginal_survival, gcompute)
-from .hazard_model import (HazardModel, ParameterState, Partition, PersonTime,
-                           PriorConfig, cum_base_hazard, expand_person_time,
-                           from_unconstrained, log_likelihood, log_prior,
-                           make_partition, to_unconstrained)
+from .hazard_model import (HazardModel, ParameterLayout, ParameterState,
+                           Partition, PersonTime, PriorConfig, cum_base_hazard,
+                           expand_person_time, from_unconstrained, log_likelihood,
+                           log_prior, make_partition, to_unconstrained)
 from .sampler import (HazardPosterior, SamplerConfig, leapfrog, sample,
                       run_hmc_chain)
 
@@ -29,7 +29,8 @@ __all__ = [
     "Dataset", "load_csv", "one_hot",
     "FormulaSpec", "Term", "DesignMatrix", "parse_formula", "format_formula",
     "build_design",
-    "Partition", "PersonTime", "ParameterState", "PriorConfig", "HazardModel",
+    "Partition", "PersonTime", "ParameterState", "PriorConfig",
+    "ParameterLayout", "HazardModel",
     "make_partition", "expand_person_time", "log_likelihood", "log_prior",
     "to_unconstrained", "from_unconstrained", "cum_base_hazard",
     "SamplerConfig", "HazardPosterior", "sample", "leapfrog", "run_hmc_chain",

@@ -39,7 +39,7 @@ from .freq_oracle import pch_mle
 from .gcomp import gcompute
 from .hazard_model import (AR1, INDEPENDENT, Partition, PriorConfig,
                            expand_person_time)
-from .sampler import HazardPosterior, SamplerConfig, sample
+from .sampler import HazardPosterior, SamplerConfig, _draw_labels, sample
 
 __all__ = ["main"]
 
@@ -171,15 +171,13 @@ def posterior_from_files(draws_path, meta_path) -> HazardPosterior:
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"{meta_path}: missing or malformed field ({exc})") from None
 
-    labels = sorted(set(mat[:, -2].tolist()))  # np.unique imports numpy.ma
-    if (len(mat) != config.chains * config.post_iter
-            or labels != list(range(1, config.chains + 1))):
-        raise DataError(f"{draws_path}: {len(mat)} draws in chains {labels}, but "
-                        f"{meta_path} records {config.chains} x {config.post_iter}")
-    posterior = HazardPosterior(draws=mat[:, :-2],
-                                chain_ids=mat[:, -2].astype(int),
-                                iter_ids=mat[:, -1].astype(int), config=config,
-                                **fit)
+    labels = _draw_labels(config.chains, config.post_iter)
+    if not np.array_equal(mat[:, -2:], np.column_stack(labels)):
+        raise DataError(f"{draws_path}: chain/iter labels are not those of "
+                        f"the {config.chains} x {config.post_iter} draws "
+                        f"{meta_path} records")
+    posterior = HazardPosterior(draws=mat[:, :-2], chain_ids=labels[0],
+                                iter_ids=labels[1], config=config, **fit)
     expected = list(posterior.param_names) + list(_BOOKKEEPING)
     if names != expected:
         raise DataError(
@@ -235,8 +233,7 @@ def cmd_fit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_draws_csv(posterior, out_dir / "draws.csv")
     write_meta_json(posterior, out_dir / "meta.json", data_path=data_path)
-    total = sampler_config.chains * sampler_config.post_iter
-    print(f"wrote {out_dir / 'draws.csv'} ({total} draws, "
+    print(f"wrote {out_dir / 'draws.csv'} ({len(posterior.draws)} draws, "
           f"{len(posterior.param_names)} parameters) and "
           f"{out_dir / 'meta.json'}")
     for c, (rate, div) in enumerate(zip(posterior.accept_rate,

@@ -11,9 +11,8 @@ with rho structurally fixed at 0. Hyperpriors: beta ~ N(0, sigma^2 I),
 eta ~ N(0, 1), rho ~ Beta(2, 2) rescaled to (-1, 1) (AR1 only), and each
 scale nu_k ~ Gamma(1, 1), i.e. unit-rate exponential.
 
-Sampling happens in an unconstrained space: nu is log-transformed and rho is
-atanh-transformed; theta_tilde, beta, eta are untouched. The Jacobian of that
-map is included in the posterior density.
+``ParameterLayout`` declares the order of a parameter vector and the map to
+the sampler's unconstrained space, whose Jacobian the posterior includes.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from .errors import DataError
 from .formula import DesignMatrix
 
 __all__ = [
-    "Partition", "PersonTime", "ParameterState", "PriorConfig", "HazardModel",
+    "Partition", "PersonTime", "ParameterState", "PriorConfig",
+    "ParameterLayout", "HazardModel",
     "make_partition", "expand_person_time", "log_likelihood", "log_prior",
     "to_unconstrained", "from_unconstrained", "cum_base_hazard",
 ]
@@ -145,6 +145,46 @@ class PriorConfig:
         return self.model_kind == AR1
 
 
+class ParameterLayout:
+    """Order of a parameter row: theta_tilde (K), beta (p), eta, rho (if
+    ``has_rho``), nu (K). The sampler holds atanh rho and log nu, which
+    ``constrain`` maps back. Methods take a row or a (draws, dim) block."""
+
+    def __init__(self, K: int, p: int, has_rho: bool):
+        self.K, self.theta, self.beta = K, slice(0, K), slice(K, K + p)
+        self.eta = K + p
+        self.rho = K + p + 1 if has_rho else None
+        self.nu = slice(K + p + 1 + has_rho, 2 * K + p + 1 + has_rho)
+        self.dim = self.nu.stop
+
+    def names(self, terms) -> tuple[str, ...]:
+        """Column names, with one beta per formula term."""
+        ks, rho = range(1, self.K + 1), () if self.rho is None else ("rho",)
+        return (*(f"theta_{k}" for k in ks), *terms, "eta", *rho,
+                *(f"nu_{k}" for k in ks))
+
+    def split(self, z: np.ndarray):
+        """Views (theta, beta, eta, rho, nu); rho is None without rho."""
+        # z.T[i] gives a row's eta and rho as numpy scalars, not 0-d arrays; Python
+        # floats would raise OverflowError on a divergent trajectory's huge values
+        zt = z.T
+        return (z[..., self.theta], z[..., self.beta], zt[self.eta],
+                None if self.rho is None else zt[self.rho], z[..., self.nu])
+
+    def constrain(self, z: np.ndarray) -> np.ndarray:
+        """A copy of ``z`` with rho = tanh and nu = exp of its entries."""
+        out = np.array(z, dtype=float)
+        if self.rho is not None:
+            out[..., self.rho] = np.tanh(out[..., self.rho])
+        out[..., self.nu] = np.exp(out[..., self.nu])
+        return out
+
+    def log_jacobian(self, z: np.ndarray):
+        """log |d constrain(z) / dz|: the sum of log nu, plus log(1 - rho^2)."""
+        rho = 0.0 if self.rho is None else np.log1p(-np.tanh(z[..., self.rho]) ** 2)
+        return z[..., self.nu].sum(axis=-1) + rho
+
+
 class _PoissonLikelihood:
     """Poisson person-time log-likelihood with analytic derivatives.
 
@@ -239,23 +279,8 @@ class HazardModel:
         self.likelihood = _PoissonLikelihood(design.X, person_time, design.delta)
         self.K = config.K
         self.p = design.X.shape[1]
-        # unconstrained layout: theta (K), beta (p), eta, [atanh rho], log nu (K)
-        self.dim = self.K + self.p + 1 + (1 if config.has_rho else 0) + self.K
-
-    def split(self, z: np.ndarray):
-        """Split an unconstrained vector into (theta, beta, eta, zrho, w)."""
-        K, p = self.K, self.p
-        theta = z[:K]
-        beta = z[K:K + p]
-        # keep numpy scalars: Python floats raise OverflowError on the huge
-        # intermediate values a divergent trajectory produces
-        eta = z[K + p]
-        off = K + p + 1
-        zrho = z[off] if self.config.has_rho else None
-        if self.config.has_rho:
-            off += 1
-        w = z[off:]
-        return theta, beta, eta, zrho, w
+        self.layout = ParameterLayout(self.K, self.p, config.has_rho)
+        self.dim = self.layout.dim
 
     def log_posterior_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         """Log posterior density (likelihood + prior + Jacobian) and its gradient.
@@ -280,8 +305,8 @@ class HazardModel:
 
     def _posterior(self, z: np.ndarray, with_value: bool):
         """The one posterior kernel: (density or None, gradient)."""
-        cfg = self.config
-        theta, beta, eta, zrho, w = self.split(z)
+        cfg, lay = self.config, self.layout
+        theta, beta, eta, zrho, w = lay.split(z)
         grad = np.empty_like(z)
         rho = np.tanh(zrho) if cfg.has_rho else 0.0
         nu = np.exp(w)
@@ -294,10 +319,9 @@ class HazardModel:
         g_theta = g_theta - s
         if self.K > 1:
             g_theta[:-1] += rho * s[1:]
-        grad[:self.K] = g_theta
-        grad[self.K:self.K + self.p] = g_beta - beta / cfg.sigma**2
-        grad[self.K + self.p] = (s[0] + (1.0 - rho) * s[1:].sum() - eta)
-        off = self.K + self.p + 1
+        grad[lay.theta] = g_theta
+        grad[lay.beta] = g_beta - beta / cfg.sigma**2
+        grad[lay.eta] = (s[0] + (1.0 - rho) * s[1:].sum() - eta)
         if cfg.has_rho:
             # rho ~ scaled Beta(2,2): log(3/4) + log(1 - rho^2), plus the
             # atanh Jacobian log(1 - rho^2)
@@ -306,12 +330,11 @@ class HazardModel:
                 d_rho = (s[1:] @ (theta[:-1] - eta)) if self.K > 1 else 0.0
                 # chain rule through rho = tanh(zrho); the prior and
                 # Jacobian terms each contribute -2 rho directly
-                grad[off] = d_rho * one_m_r2 - 4.0 * rho
+                grad[lay.rho] = d_rho * one_m_r2 - 4.0 * rho
             else:
-                grad[off] = math.nan
-            off += 1
+                grad[lay.rho] = math.nan
         # d/dw of process + Gamma prior + Jacobian
-        grad[off:] = e * s - nu
+        grad[lay.nu] = e * s - nu
         if not with_value:
             return None, grad
 
@@ -370,40 +393,32 @@ def log_prior(state: ParameterState, config: PriorConfig) -> float:
 
 
 def to_unconstrained(state: ParameterState, config: PriorConfig) -> np.ndarray:
-    """Map a constrained state to the sampler's unconstrained coordinates."""
-    if not np.all(np.isfinite(state.theta_tilde)) or not np.all(np.isfinite(state.beta)):
-        raise DataError("non-finite parameter state")
-    parts = [state.theta_tilde, state.beta, [state.eta]]
-    if config.has_rho:
-        parts.append([math.atanh(state.rho)])
-    parts.append(np.log(state.nu))
-    return np.concatenate([np.asarray(p, dtype=float) for p in parts])
+    """Map a constrained state to the sampler's unconstrained coordinates,
+    listing ParameterState's fields in order, which is the layout's."""
+    theta, beta, nu = (np.asarray(v, dtype=float)
+                       for v in (state.theta_tilde, state.beta, state.nu))
+    if not (theta.shape == nu.shape == (config.K,) and np.all(nu > 0)
+            and np.isfinite(np.concatenate([theta, beta, [state.eta], nu,
+                                            [state.rho]])).all()
+            and (abs(state.rho) < 1 or not config.has_rho)):
+        raise DataError(f"state outside the support: theta_tilde and nu need K={config.K} "
+                        "entries, nu > 0, |rho| < 1 and every entry finite")
+    rho = [math.atanh(state.rho)] if config.has_rho else []
+    return np.concatenate([theta, beta, [state.eta], rho, np.log(nu)])
 
 
 def from_unconstrained(z: np.ndarray, config: PriorConfig) -> tuple[ParameterState, float]:
     """Inverse of to_unconstrained; also returns the log-Jacobian adjustment."""
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise DataError("non-finite unconstrained vector")
-    K = config.K
-    p = len(z) - 2 * K - 1 - (1 if config.has_rho else 0)
-    if p < 0:
-        raise DataError(f"vector of length {len(z)} too short for K={K}")
-    theta = z[:K].copy()
-    beta = z[K:K + p].copy()
-    eta = float(z[K + p])
-    off = K + p + 1
-    rho = 0.0
-    log_jac = 0.0
-    if config.has_rho:
-        rho = math.tanh(float(z[off]))
-        log_jac += math.log1p(-rho**2)
-        off += 1
-    w = z[off:]
-    nu = np.exp(w)
-    log_jac += float(w.sum())
-    return ParameterState(theta_tilde=theta, beta=beta, eta=eta, rho=rho,
-                          nu=nu), log_jac
+    p = len(z) - ParameterLayout(config.K, 0, config.has_rho).dim
+    if p < 0 or not np.isfinite(z).all():
+        raise DataError(f"unconstrained vector of length {len(z)} is non-finite "
+                        f"or too short for K={config.K}")
+    layout = ParameterLayout(config.K, p, config.has_rho)
+    theta, beta, eta, rho, nu = layout.split(layout.constrain(z))
+    state = ParameterState(theta_tilde=theta, beta=beta, eta=float(eta),
+                           rho=0.0 if rho is None else float(rho), nu=nu)
+    return state, float(layout.log_jacobian(z))
 
 
 def cum_base_hazard(theta: np.ndarray, partition: Partition, t) -> np.ndarray | float:

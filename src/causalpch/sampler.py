@@ -29,8 +29,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DataError, NumericalError
 from .formula import DesignMatrix, FormulaSpec, build_design, format_formula
-from .hazard_model import (HazardModel, Partition, PriorConfig,
-                           expand_person_time, make_partition)
+from .hazard_model import (AR1, HazardModel, ParameterLayout, Partition,
+                           PriorConfig, expand_person_time, make_partition)
 
 __all__ = ["SamplerConfig", "HazardPosterior", "LeapfrogResult", "leapfrog",
            "DualAveraging", "run_hmc_chain", "sample", "RNG_NAME"]
@@ -230,9 +230,8 @@ def run_hmc_chain(grad_fn, dim: int, config: SamplerConfig,
 class HazardPosterior:
     """Retained posterior draws (constrained scale) plus fit metadata.
 
-    Draw rows are laid out as theta_tilde (K log hazard levels), beta
-    (one column per formula term), eta, rho (AR1 only), nu (K scales).
-    Rows are stacked chain-major; chain_ids/iter_ids label them.
+    Draw rows follow ``layout``, with one beta per formula term. Rows are
+    stacked chain-major; chain_ids/iter_ids label them.
     """
 
     draws: np.ndarray
@@ -263,8 +262,8 @@ class HazardPosterior:
         return len(self.term_names)
 
     @property
-    def has_rho(self) -> bool:
-        return self.model_kind == "ar1"
+    def layout(self) -> ParameterLayout:
+        return ParameterLayout(self.K, self.p, self.model_kind == AR1)
 
     @property
     def n_chains(self) -> int:
@@ -272,18 +271,12 @@ class HazardPosterior:
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        names = [f"theta_{k}" for k in range(1, self.K + 1)]
-        names += list(self.term_names)
-        names.append("eta")
-        if self.has_rho:
-            names.append("rho")
-        names += [f"nu_{k}" for k in range(1, self.K + 1)]
-        return tuple(names)
+        return self.layout.names(self.term_names)
 
     @property
     def theta_draws(self) -> np.ndarray:
         """Log baseline-hazard draws, (draws, K)."""
-        return self.draws[:, :self.K]
+        return self.draws[:, self.layout.theta]
 
     @property
     def hazard_draws(self) -> np.ndarray:
@@ -292,11 +285,11 @@ class HazardPosterior:
 
     @property
     def beta_draws(self) -> np.ndarray:
-        return self.draws[:, self.K:self.K + self.p]
+        return self.draws[:, self.layout.beta]
 
     @property
     def eta_draws(self) -> np.ndarray:
-        return self.draws[:, self.K + self.p]
+        return self.draws[:, self.layout.eta]
 
     def chains(self) -> list[np.ndarray]:
         """Split the draw matrix back into per-chain blocks."""
@@ -304,15 +297,10 @@ class HazardPosterior:
                 for c in range(1, self.n_chains + 1)]
 
 
-def _constrain_rows(draws: np.ndarray, model: HazardModel) -> np.ndarray:
-    """Map unconstrained draw rows to the constrained storage layout."""
-    out = draws.copy()
-    off = model.K + model.p + 1
-    if model.config.has_rho:
-        out[:, off] = np.tanh(out[:, off])
-        off += 1
-    out[:, off:] = np.exp(out[:, off:])
-    return out
+def _draw_labels(chains: int, post_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (chain, iter) labels of chain-major draw rows, both 1-based."""
+    return (np.repeat(np.arange(1, chains + 1), post_iter),
+            np.tile(np.arange(1, post_iter + 1), chains))
 
 
 def sample(data: Dataset, formula_spec: FormulaSpec, prior_config: PriorConfig,
@@ -357,10 +345,8 @@ def sample(data: Dataset, formula_spec: FormulaSpec, prior_config: PriorConfig,
                 f"({rate:.0%} of retained draws); decrease the step size by "
                 "raising target_accept, or increase leapfrog_steps")
 
-    M = sampler_config.post_iter
-    draws = np.vstack([_constrain_rows(r.draws, model) for r in results])
-    chain_ids = np.repeat(np.arange(1, n_chains + 1), M)
-    iter_ids = np.tile(np.arange(1, M + 1), n_chains)
+    draws = np.vstack([model.layout.constrain(r.draws) for r in results])
+    chain_ids, iter_ids = _draw_labels(n_chains, sampler_config.post_iter)
     return HazardPosterior(
         draws=draws, chain_ids=chain_ids, iter_ids=iter_ids,
         partition=partition, model_kind=prior_config.model_kind,

@@ -42,6 +42,12 @@ def run_fit(tmp_path, tiny_csv, out="fit", model="independent", K=4, extra=(),
     return out_dir
 
 
+def relabel(line, chain=None, it=None):
+    """A draws.csv line with its chain and/or iter label replaced."""
+    head, old_chain, old_it = line.rsplit(",", 2)
+    return f"{head},{chain or old_chain},{it or old_it}"
+
+
 class TestFit:
     def test_outputs_and_column_count(self, tmp_path, tiny_csv):
         out = run_fit(tmp_path, tiny_csv)
@@ -273,24 +279,32 @@ class TestGcomp:
         "partition": lambda m: m["partition"]["endpoints"].__setitem__(1, 0.0),
     }
 
-    @pytest.mark.parametrize("damage", ["truncated", "chain_labels",
-                                        *META_DAMAGE])
+    DRAWS_DAMAGE = {
+        "truncated": lambda lines: lines[:-1],
+        "chain_labels": lambda lines: lines[:1] + [
+            relabel(line, chain=2) for line in lines[1:]],
+        "iter_nan": lambda lines: [lines[0], relabel(lines[1], it="nan"),
+                                   *lines[2:]],
+        # the last draw of chain 1 moves to chain 2 of a 2 x 40 fit: the row
+        # count and the set of chain labels still match meta.json
+        "unbalanced_chains": lambda lines: [
+            *lines[:40], relabel(lines[40], chain=2), *lines[41:]],
+    }
+
+    @pytest.mark.parametrize("damage", [*DRAWS_DAMAGE, *META_DAMAGE])
     @pytest.mark.parametrize("command", ["gcomp", "hazard-export"])
     def test_inconsistent_fit_files_exit_code(self, tmp_path, tiny_csv,
                                               capsys, damage, command):
         # the interaction fit needs a cautious step on the tiny data
         fit = (run_fit(tmp_path, tiny_csv, formula="Surv(y, delta) ~ A*x",
                        extra=("--target-accept", "0.95"))
-               if damage == "short_terms" else run_fit(tmp_path, tiny_csv))
+               if damage == "short_terms" else
+               run_fit(tmp_path, tiny_csv, extra=("--chains", "2"))
+               if damage == "unbalanced_chains" else run_fit(tmp_path, tiny_csv))
         draws, meta = fit / "draws.csv", fit / "meta.json"
         lines = draws.read_text().splitlines()
-        if damage == "truncated":
-            draws.write_text("\n".join(lines[:-1]) + "\n")
-        elif damage == "chain_labels":
-            relabeled = [line.rsplit(",", 2) for line in lines[1:]]
-            draws.write_text("\n".join(
-                [lines[0]] + [f"{head},2,{it}" for head, _, it in relabeled])
-                + "\n")
+        if damage in self.DRAWS_DAMAGE:
+            draws.write_text("\n".join(self.DRAWS_DAMAGE[damage](lines)) + "\n")
         else:
             record = json.loads(meta.read_text())
             self.META_DAMAGE[damage](record)

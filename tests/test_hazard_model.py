@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from causalpch import (DataError, HazardModel, ParameterState, PriorConfig,
-                       cum_base_hazard, expand_person_time, from_unconstrained,
-                       log_likelihood, log_prior, make_partition,
-                       to_unconstrained)
+from causalpch import (DataError, HazardModel, HazardPosterior,
+                       ParameterLayout, ParameterState, PriorConfig,
+                       SamplerConfig, cum_base_hazard, expand_person_time,
+                       from_unconstrained, log_likelihood, log_prior,
+                       make_partition, to_unconstrained)
+from causalpch.formula import DesignMatrix, Term
 from causalpch.hazard_model import PersonTime
 
 from conftest import random_survival_data
@@ -266,14 +268,102 @@ class TestTransforms:
         with pytest.raises(DataError):
             from_unconstrained(np.array([np.nan, 0.0, 0.0]), cfg)
 
+    @pytest.mark.parametrize("kind,change", [
+        ("ar1", dict(rho=1.0)),
+        ("ar1", dict(rho=-1.0)),
+        ("ar1", dict(nu=np.array([1.0, 0.0]))),
+        ("ar1", dict(nu=np.array([1.0, -0.5]))),
+        ("ar1", dict(nu=np.array([1.0, np.inf]))),
+        ("ar1", dict(eta=np.nan)),
+        ("ar1", dict(rho=np.nan)),
+        ("ar1", dict(theta_tilde=np.array([0.0, np.inf]))),
+        ("ar1", dict(beta=np.array([np.nan]))),
+        ("ar1", dict(theta_tilde=np.zeros(3))),
+        ("ar1", dict(nu=np.ones(1))),
+        ("independent", dict(nu=np.array([0.0, 1.0]))),
+        ("independent", dict(eta=np.inf)),
+    ])
+    def test_state_outside_support_rejected(self, kind, change):
+        cfg = PriorConfig(model_kind=kind, K=2)
+        state = ParameterState(**{**dict(theta_tilde=np.zeros(2),
+                                         beta=np.ones(1), eta=0.3, rho=0.0,
+                                         nu=np.ones(2)), **change})
+        with pytest.raises(DataError):
+            to_unconstrained(state, cfg)
+
     def test_jacobian_normalizes_transformed_density(self):
         # 1-D slice: nu ~ Gamma(1,1) pushed through w = log nu integrates to 1
         val, _ = integrate.quad(lambda w: math.exp(-math.exp(w) + w), -30, 6)
         assert val == pytest.approx(1.0, abs=1e-9)
 
 
+KIND_AND_P = [(kind, p) for kind in ("independent", "ar1") for p in (0, 2)]
+
+
+@pytest.mark.parametrize("kind,p", KIND_AND_P)
+class TestParameterLayout:
+    K = 3
+
+    def layout(self, kind, p):
+        return ParameterLayout(self.K, p, kind == "ar1")
+
+    def test_split_holds_the_indices_of_names(self, kind, p):
+        layout = self.layout(kind, p)
+        terms = tuple(f"x{j}" for j in range(p))
+        names = layout.names(terms)
+        assert len(names) == layout.dim
+        at = {name: i for i, name in enumerate(names)}
+        ks = range(1, self.K + 1)
+        theta, beta, eta, rho, nu = layout.split(np.arange(layout.dim))
+        assert theta.tolist() == [at[f"theta_{k}"] for k in ks]
+        assert beta.tolist() == [at[t] for t in terms]
+        assert eta == at["eta"]
+        assert rho == at.get("rho")
+        assert nu.tolist() == [at[f"nu_{k}"] for k in ks]
+
+    def test_constrain_block_equals_rows(self, kind, p):
+        layout = self.layout(kind, p)
+        block = np.random.default_rng(19).normal(0.0, 3.0, (40, layout.dim))
+        before = block.copy()
+        out = layout.constrain(block)
+        assert block.tobytes() == before.tobytes()
+        for row, expected in zip(block, out):
+            assert layout.constrain(row).tobytes() == expected.tobytes()
+        assert block.tobytes() == before.tobytes()
+
+    def test_to_unconstrained_follows_layout(self, kind, p):
+        cfg = PriorConfig(model_kind=kind, K=self.K)
+        state = random_state(np.random.default_rng(20), self.K, p,
+                             ar1=(kind == "ar1"))
+        theta, beta, eta, rho, nu = self.layout(kind, p).split(
+            to_unconstrained(state, cfg))
+        assert theta.tobytes() == state.theta_tilde.tobytes()
+        assert beta.tobytes() == state.beta.tobytes()
+        assert eta == state.eta
+        assert rho == (math.atanh(state.rho) if kind == "ar1" else None)
+        assert nu.tobytes() == np.log(state.nu).tobytes()
+
+    def test_posterior_slices_follow_param_names(self, kind, p):
+        terms = tuple(f"x{j}" for j in range(p))
+        n, dim = 4, self.layout(kind, p).dim
+        design = DesignMatrix(X=np.zeros((n, p)), columns=terms,
+                              terms=tuple(Term((t,)) for t in terms),
+                              y=np.ones(n), delta=np.ones(n))
+        draws = np.arange(6.0 * dim).reshape(6, dim)
+        post = HazardPosterior(
+            draws=draws, chain_ids=np.ones(6, int), iter_ids=np.arange(1, 7),
+            partition=make_partition(1.0, self.K), model_kind=kind, sigma=3.0,
+            formula="", treat_col="A", design=design, accept_rate=(1.0,),
+            divergences=(0,), step_sizes=(0.1,), config=SamplerConfig())
+        names = post.param_names
+        assert post.beta_draws.tolist() == draws[:, [names.index(t)
+                                                     for t in terms]].tolist()
+        assert post.eta_draws.tolist() == draws[:, names.index("eta")].tolist()
+        assert post.theta_draws.tolist() == draws[:, :self.K].tolist()
+        assert names[:self.K] == tuple(f"theta_{k}" for k in range(1, self.K + 1))
+
+
 def build_model(rng, n=20, p=2, K=5, kind="ar1"):
-    from causalpch.formula import DesignMatrix, Term
     X, y, delta = random_survival_data(rng, n=n, p=p)
     part = make_partition(float(y.max()), K)
     pt = expand_person_time(y, part)
@@ -317,7 +407,6 @@ class TestLogPosteriorGrad:
         assert value == pytest.approx(ll + lp + log_jac, rel=1e-10)
 
     def test_zero_design_beta_gradient_is_prior_only(self):
-        from causalpch.formula import DesignMatrix, Term
         rng = np.random.default_rng(15)
         n, p, K = 12, 2, 3
         y = rng.uniform(0.5, 9.5, n)
@@ -357,7 +446,7 @@ class TestGradOnly:
     def test_non_finite_wherever_density_is_minus_inf(self):
         rng = np.random.default_rng(18)
         model, _ = build_model(rng, n=30)
-        rho_at = model.K + model.p + 1
+        rho_at = model.layout.rho
         saturated = rng.uniform(-1.0, 1.0, model.dim)
         saturated[rho_at] = 40.0            # tanh(40) == 1.0 in doubles
         overflowing = np.full(model.dim, 200.0)
