@@ -270,12 +270,17 @@ def cmd_gcomp(args) -> int:
     return EXIT_OK
 
 
-def _split_chains(names: list[str], mat: np.ndarray):
+def _split_chains(names: list[str], mat: np.ndarray, path):
     """Split a draws-style matrix on its chain column; drop bookkeeping."""
     keep = [j for j, n in enumerate(names) if n not in _BOOKKEEPING]
     kept_names = [names[j] for j in keep]
     if "chain" in names:
-        chain = mat[:, names.index("chain")].astype(int)
+        chain = mat[:, names.index("chain")]
+        ok = np.isfinite(chain) & (chain >= 1) & (np.floor(chain) == chain)
+        bad = np.nonzero(~ok)[0]
+        if bad.size:
+            raise DataError(f"{path}: chain labels must be integers >= 1; "
+                            f"row {bad[0] + 1} has {chain[bad[0]]!r}")
         blocks = [mat[chain == c][:, keep] for c in sorted(set(chain))]
     else:
         blocks = [mat[:, keep]]
@@ -284,7 +289,7 @@ def _split_chains(names: list[str], mat: np.ndarray):
 
 def cmd_summarize(args) -> int:
     names, mat = read_numeric_csv(args.file)
-    kept_names, blocks = _split_chains(names, mat)
+    kept_names, blocks = _split_chains(names, mat, args.file)
     try:
         probs = tuple(float(v) for v in args.probs.split(","))
     except ValueError:
@@ -308,7 +313,7 @@ def cmd_diag(args) -> int:
     chains = []
     for path in args.files:
         names, mat = read_numeric_csv(path)
-        kept_names, blocks = _split_chains(names, mat)
+        kept_names, blocks = _split_chains(names, mat, path)
         if all_names is None:
             all_names = kept_names
         elif kept_names != all_names:
@@ -368,7 +373,6 @@ def _add_fit_flags(fit: _Parser) -> _Parser:
     fit.add_argument("--seed", type=int)
     fit.add_argument("--leapfrog-steps", dest="leapfrog_steps", type=int)
     fit.add_argument("--target-accept", dest="target_accept", type=float)
-    fit.add_argument("--init-jitter", dest="init_jitter", type=float)
     fit.add_argument("--threads", type=int,
                      help="worker threads for chains, at least 1 (default "
                           f"{SamplerConfig.threads}; 1 runs the chains one "

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["Dataset", "read_csv", "load_csv", "one_hot"]
+__all__ = ["Dataset", "check_response", "read_csv", "load_csv", "one_hot"]
 
 _MISSING = {"", "na", "nan", "null", "none"}
 
@@ -58,19 +58,26 @@ class Dataset:
                 raise DataError(f"column {name!r} is not numeric")
         if self.n < 2:
             raise DataError(f"need at least 2 subjects, got {self.n}")
-        bad = np.nonzero(~(self.y > 0))[0]
-        if bad.size:
-            raise DataError(f"{self.time_col!r} must be positive; "
-                            f"row {bad[0] + 1} has value {self.y[bad[0]]!r}")
-        for name, col, allowed in ((self.event_col, self.delta, "0/1"),
-                                   (self.treat_col, self.treatment, "0/1")):
-            bad = np.nonzero(~np.isin(col, (0.0, 1.0)))[0]
-            if bad.size:
-                raise DataError(f"{name!r} must be {allowed}; "
-                                f"row {bad[0] + 1} has value {col[bad[0]]!r}")
-        if not np.any(self.delta == 1):
-            raise DataError("no events: every row is censored")
+        check_response(self.y, self.delta, self.time_col, self.event_col)
+        _check_rows(self.treat_col, self.treatment,
+                    np.isin(self.treatment, (0.0, 1.0)), "0/1")
         return self
+
+
+def check_response(y, delta, time_name: str, event_name: str) -> None:
+    """Require positive times, 0/1 event indicators and at least one event;
+    the DataError names the column and its first offending row."""
+    _check_rows(time_name, y, y > 0, "positive")
+    _check_rows(event_name, delta, np.isin(delta, (0.0, 1.0)), "0/1")
+    if not np.any(delta == 1):
+        raise DataError("no events: every row is censored")
+
+
+def _check_rows(name: str, col, ok, rule: str) -> None:
+    bad = np.nonzero(~ok)[0]
+    if bad.size:
+        raise DataError(f"{name!r} must be {rule}; "
+                        f"row {bad[0] + 1} has value {col[bad[0]]!r}")
 
 
 def _parse_column(name: str, raw: list[str]) -> np.ndarray:

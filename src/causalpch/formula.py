@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import check_response
 from .errors import DataError, FormulaError
 
 __all__ = ["Term", "FormulaSpec", "DesignMatrix", "parse_formula",
@@ -65,7 +66,7 @@ class FormulaSpec:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Numeric design expanded from a FormulaSpec against a dataset."""
+    """Numeric design from a FormulaSpec; its response passes check_response."""
 
     X: np.ndarray                 # n x p, column j follows terms[j]
     columns: tuple[str, ...]      # term names, in terms order
@@ -83,6 +84,7 @@ class DesignMatrix:
         if tuple(t.name for t in self.terms) != self.columns:
             raise DataError(f"terms {[t.name for t in self.terms]} do not "
                             f"match the columns {list(self.columns)}")
+        check_response(self.y, self.delta, "y", "delta")
 
     @property
     def n(self) -> int:

@@ -6,11 +6,12 @@ Step size is tuned during warmup by Nesterov dual averaging (gamma=0.05,
 t0=10, kappa=0.75) toward a target acceptance rate, then frozen at the
 averaged iterate. No mass-matrix adaptation, no NUTS.
 
-Interior leapfrog steps need only the gradient, so a trajectory evaluates
-the log density once, at its end point, for the Metropolis test. The draws
-are the same as when every step evaluated it: the gradient is computed the
-same way, and at a saturated rho, where only the density is -inf, it is
-NaN, so the same trajectories are flagged divergent.
+The chain's target is any object with ``dim``, ``log_posterior_grad(z) ->
+(log density, gradient)`` and ``grad(z) -> gradient``; ``HazardModel`` is
+one. Interior leapfrog steps call ``grad`` alone, so a trajectory evaluates
+the log density once, at its end point, for the Metropolis test. ``grad``
+must be non-finite wherever the density is -inf, so the draws equal those
+of the tests' reference integrator, which evaluates it at every step.
 
 Randomness comes from numpy's counter-based Philox generator. Chain c of a
 run with seed s uses ``SeedSequence(s, spawn_key=(c,))``, so multi-chain
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ __all__ = ["SamplerConfig", "HazardPosterior", "LeapfrogResult", "leapfrog",
 RNG_NAME = "numpy-philox4x64; chain c uses SeedSequence(seed, spawn_key=(c,))"
 
 #: Hamiltonian increase treated as a divergent trajectory. One-sided on
-#: purpose: large energy *drops* are routine while burning in from a jittered
+#: purpose: large energy *drops* are routine while burning in from a random
 #: start and must stay acceptable, while increases of this size only happen
 #: when the integrator blows up.
 DIVERGENCE_ENERGY = 1000.0
@@ -48,6 +49,7 @@ DA_T0 = 10.0
 DA_KAPPA = 0.75
 
 MAX_INIT_RETRIES = 100
+INIT_RADIUS = 1.0       # half-width of the uniform start box, per coordinate
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class SamplerConfig:
     seed: int = 0
     leapfrog_steps: int = 32
     target_accept: float = 0.8
-    init_jitter: float = 1.0
     threads: int | None = 1         # worker threads for chains; None = chains
 
     def __post_init__(self):
@@ -79,45 +80,35 @@ class LeapfrogResult(NamedTuple):
     momentum: np.ndarray
     value: float            # log posterior at the final position
     grad: np.ndarray
-    diverged: bool          # a non-finite value/gradient was encountered
+    diverged: bool          # a non-finite position, gradient or density
 
 
-def leapfrog(position: np.ndarray, momentum: np.ndarray, step_size: float,
-             n_steps: int, grad_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
-             value_grad: tuple[float, np.ndarray] | None = None,
-             grad_only: Callable[[np.ndarray], np.ndarray] | None = None
-             ) -> LeapfrogResult:
+def leapfrog(target, q: np.ndarray, p: np.ndarray, grad: np.ndarray,
+             step_size: float, n_steps: int) -> LeapfrogResult:
     """Integrate Hamilton's equations for ``n_steps`` velocity-Verlet steps.
 
-    ``grad_fn(q) -> (log density, gradient)``; the mass matrix is the
-    identity. If ``grad_only(q) -> gradient`` is given, it serves every step
-    but the last, so the density is evaluated once, at the end point; it must
-    return a non-finite gradient wherever the density is -inf. Reversible:
-    negating the final momentum and integrating again returns to the start
-    up to floating-point error.
+    ``grad`` is the log density's gradient at ``q``; the mass matrix is the
+    identity. Interior steps evaluate ``target.grad``, the last one
+    ``target.log_posterior_grad``. Reversible: negating the final momentum
+    and integrating again returns to the start up to floating-point error.
     """
-    q = np.array(position, dtype=float)
-    p = np.array(momentum, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value, grad = grad_fn(q) if value_grad is None else value_grad
-        if not (np.isfinite(value) and np.isfinite(grad).all()):
-            return LeapfrogResult(q, p, -math.inf, grad, True)
         p = p + 0.5 * step_size * grad
         for step in range(n_steps):
             q = q + step_size * p
             if not np.isfinite(q).all():
-                return LeapfrogResult(q, p, -math.inf, grad, True)
-            last = step == n_steps - 1
-            if grad_only is None or last:
-                value, grad = grad_fn(q)
-                finite = np.isfinite(value) and np.isfinite(grad).all()
+                break
+            if step < n_steps - 1:
+                grad = target.grad(q)
+                if not np.isfinite(grad).all():
+                    break
+                p = p + step_size * grad
             else:
-                grad = grad_only(q)
-                finite = np.isfinite(grad).all()
-            if not finite:
-                return LeapfrogResult(q, p, -math.inf, grad, True)
-            p = p + (0.5 * step_size if last else step_size) * grad
-    return LeapfrogResult(q, p, value, grad, False)
+                value, grad = target.log_posterior_grad(q)
+                if np.isfinite(value) and np.isfinite(grad).all():
+                    return LeapfrogResult(q, p + 0.5 * step_size * grad,
+                                          value, grad, False)
+    return LeapfrogResult(q, p, -math.inf, grad, True)
 
 
 class DualAveraging:
@@ -145,20 +136,27 @@ class DualAveraging:
         return math.exp(self.log_step_bar)
 
 
-def _find_initial_step(q: np.ndarray, value: float, grad: np.ndarray,
-                       grad_fn, rng) -> float:
+def _metropolis(h0: float, res: LeapfrogResult) -> tuple[float, bool]:
+    """(acceptance probability, diverged) of a trajectory from energy ``h0``:
+    it diverged if it met a non-finite point or ends at a non-finite energy
+    or one more than DIVERGENCE_ENERGY above ``h0``."""
+    if res.diverged:
+        return 0.0, True
+    with np.errstate(over="ignore", invalid="ignore"):
+        h1 = -res.value + 0.5 * float(res.momentum @ res.momentum)
+    if not np.isfinite(h1) or h1 - h0 > DIVERGENCE_ENERGY:
+        return 0.0, True
+    return math.exp(min(0.0, h0 - h1)), False
+
+
+def _find_initial_step(target, q: np.ndarray, value: float, grad: np.ndarray,
+                       rng) -> float:
     """Double/halve a trial step until one leapfrog step lands in (0.25, 0.95)."""
     step = 1.0
     p = rng.standard_normal(len(q))
     h0 = -value + 0.5 * float(p @ p)
     for _ in range(100):
-        res = leapfrog(q, p, step, 1, grad_fn, value_grad=(value, grad))
-        with np.errstate(over="ignore", invalid="ignore"):
-            h1 = -res.value + 0.5 * float(res.momentum @ res.momentum)
-        if res.diverged or not np.isfinite(h1):
-            accept = 0.0
-        else:
-            accept = math.exp(min(0.0, h0 - h1))
+        accept, _ = _metropolis(h0, leapfrog(target, q, p, grad, step, 1))
         if accept > 0.95:
             step *= 2.0
         elif accept < 0.25:
@@ -176,42 +174,30 @@ class ChainResult:
     step_size: float
 
 
-def run_hmc_chain(grad_fn, dim: int, config: SamplerConfig,
-                  rng: np.random.Generator, grad_only=None) -> ChainResult:
-    """Run warmup + retained iterations of static HMC on one target.
-
-    ``grad_fn`` and the optional ``grad_only`` are as in ``leapfrog``.
-    """
-    q = None
+def run_hmc_chain(target, config: SamplerConfig,
+                  rng: np.random.Generator) -> ChainResult:
+    """Run warmup + retained iterations of static HMC on one target."""
+    dim = target.dim
     for _ in range(MAX_INIT_RETRIES):
-        cand = rng.uniform(-config.init_jitter, config.init_jitter, dim)
-        value, grad = grad_fn(cand)
+        q = rng.uniform(-INIT_RADIUS, INIT_RADIUS, dim)
+        value, grad = target.log_posterior_grad(q)
         if np.isfinite(value) and np.isfinite(grad).all():
-            q = cand
             break
-    if q is None:
+    else:
         raise NumericalError(
             f"no finite log posterior after {MAX_INIT_RETRIES} initialization draws")
 
-    step = _find_initial_step(q, value, grad, grad_fn, rng)
+    step = _find_initial_step(target, q, value, grad, rng)
     averaging = DualAveraging(step, target=config.target_accept)
 
     draws = np.empty((config.post_iter, dim))
     accept_sum = 0.0
     divergences = 0
-    n_leap = config.leapfrog_steps
     for it in range(config.warmup + config.post_iter):
         p = rng.standard_normal(dim)
         h0 = -value + 0.5 * float(p @ p)
-        res = leapfrog(q, p, step, n_leap, grad_fn, value_grad=(value, grad),
-                       grad_only=grad_only)
-        if res.diverged:
-            accept_prob, diverged = 0.0, True
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                h1 = -res.value + 0.5 * float(res.momentum @ res.momentum)
-            diverged = not np.isfinite(h1) or (h1 - h0) > DIVERGENCE_ENERGY
-            accept_prob = 0.0 if diverged else math.exp(min(0.0, h0 - h1))
+        res = leapfrog(target, q, p, grad, step, config.leapfrog_steps)
+        accept_prob, diverged = _metropolis(h0, res)
         if not diverged and rng.random() < accept_prob:
             q, value, grad = res.position, res.value, res.grad
         if it < config.warmup:
@@ -316,8 +302,6 @@ def sample(data: Dataset, formula_spec: FormulaSpec, prior_config: PriorConfig,
         raise DataError(f"treatment column {data.treat_col!r} must appear in "
                         "the formula as a main effect")
     design.check_treatment(data.treat_col)
-    if np.any(design.y <= 0):
-        raise DataError("observed times must be positive")
 
     partition = make_partition(float(design.y.max()), prior_config.K)
     person_time = expand_person_time(design.y, partition)
@@ -326,8 +310,7 @@ def sample(data: Dataset, formula_spec: FormulaSpec, prior_config: PriorConfig,
     def one_chain(c: int) -> ChainResult:
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(sampler_config.seed, spawn_key=(c,))))
-        return run_hmc_chain(model.log_posterior_grad, model.dim,
-                             sampler_config, rng, grad_only=model.grad)
+        return run_hmc_chain(model, sampler_config, rng)
 
     n_chains = sampler_config.chains
     workers = sampler_config.threads or n_chains

@@ -37,6 +37,17 @@ def random_survival_data(rng, n=40, p=2, max_time=10.0):
     return X, y, delta
 
 
+class Target:
+    """A sampler target built from one ``z -> (log density, gradient)``."""
+
+    def __init__(self, value_grad, dim):
+        self.log_posterior_grad = value_grad
+        self.dim = dim
+
+    def grad(self, z):
+        return self.log_posterior_grad(z)[1]
+
+
 def person_time_for(y, K):
     part = make_partition(float(np.max(y)), K)
     return part, expand_person_time(y, part)

@@ -1,9 +1,12 @@
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from causalpch.cli import main, read_numeric_csv
+from causalpch import PriorConfig, SamplerConfig
+from causalpch.cli import _RECORDED, build_parser, main, read_numeric_csv
 
 from conftest import VETERAN_CSV
 
@@ -114,6 +117,7 @@ class TestFit:
         ("partitions", 3.7),
         ("chains", 2.9),
         ("model", "foo"),
+        ("init-jitter", 0.5),        # the start radius is not a setting
     ], ids=str)
     def test_unknown_config_key(self, tmp_path, tiny_csv, capsys, key, value):
         cfg_path = tmp_path / "run.json"
@@ -124,6 +128,26 @@ class TestFit:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(cfg_path) in err and repr(key) in err
+        assert not (tmp_path / "never").exists()
+
+    def test_flags_match_config_fields(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = [a.dest for a in sub.choices["fit"]._actions
+                 if a.option_strings and a.dest != "help"]
+        settings = [f.name for cls in (PriorConfig, SamplerConfig)
+                    for f in fields(cls)]
+        assert set(dests) - set(settings) == {"data", "formula", "treat_col",
+                                              "out_dir", "config"}
+        assert all(dests.count(name) == 1 for name in settings)
+        assert _RECORDED == tuple(f.name for f in fields(SamplerConfig)
+                                  if f.name != "threads")
+
+    def test_init_jitter_flag_is_gone(self, tmp_path, tiny_csv):
+        rc = main(["fit", "--data", str(tiny_csv),
+                   "--formula", "Surv(y, delta) ~ A", "--init-jitter", "0.5",
+                   "--out-dir", str(tmp_path / "never")])
+        assert rc == 1
         assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -277,6 +301,10 @@ class TestGcomp:
         # under A*x this drops A:x, which g-computation must rewrite
         "short_terms": lambda m: m["terms"].pop(),
         "partition": lambda m: m["partition"]["endpoints"].__setitem__(1, 0.0),
+        "delta_two": lambda m: m["delta"].__setitem__(0, 2),
+        "delta_nan": lambda m: m["delta"].__setitem__(0, float("nan")),
+        "no_events": lambda m: m.update(delta=[0] * len(m["delta"])),
+        "y_nonpositive": lambda m: m["y"].__setitem__(0, -5.0),
     }
 
     DRAWS_DAMAGE = {
@@ -398,6 +426,23 @@ class TestDiag:
         a = run_fit(tmp_path, tiny_csv, out="dc")
         rc = main(["diag", "--files", str(a / "draws.csv")])
         assert rc == 2
+
+
+@pytest.mark.parametrize("label", ["nan", "1.5", "0"])
+@pytest.mark.parametrize("command", ["summarize", "diag"])
+def test_bad_chain_label_exit_code(tmp_path, tiny_csv, capsys, label, command):
+    fit = run_fit(tmp_path, tiny_csv, extra=("--chains", "2"))
+    draws = fit / "draws.csv"
+    lines = draws.read_text().splitlines()
+    draws.write_text("\n".join([lines[0], relabel(lines[1], chain=label),
+                                *lines[2:]]) + "\n")
+    out = tmp_path / "out.csv"
+    argv = (["summarize", "--file"] if command == "summarize"
+            else ["diag", "--files"])
+    rc = main(argv + [str(draws), "--out", str(out)])
+    assert rc == 2
+    assert "chain labels must be integers >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestHazardExport:

@@ -10,50 +10,67 @@ from causalpch import (DataError, HazardModel, NumericalError, PriorConfig,
                        parse_formula, sample, summarize)
 from causalpch.dataset import Dataset
 from causalpch.formula import DesignMatrix, Term
-from causalpch.sampler import (DualAveraging, LeapfrogResult, leapfrog,
+from causalpch.sampler import (DIVERGENCE_ENERGY, DualAveraging,
+                               LeapfrogResult, _metropolis, leapfrog,
                                run_hmc_chain)
 
-from conftest import random_survival_data
+from conftest import Target, random_survival_data
 
 
 def gaussian_target(cov_diag):
     prec = 1.0 / np.asarray(cov_diag, dtype=float)
 
-    def grad_fn(z):
+    def value_grad(z):
         return float(-0.5 * np.sum(prec * z * z)), -prec * z
 
-    return grad_fn
+    return Target(value_grad, len(prec))
+
+
+class CountingTarget(Target):
+    """A standard Gaussian target that counts its density and gradient calls."""
+
+    def __init__(self, dim):
+        super().__init__(self.count_value_grad, dim)
+        self.value_calls = self.grad_calls = 0
+
+    def count_value_grad(self, z):
+        self.value_calls += 1
+        return float(-0.5 * z @ z), -z
+
+    def grad(self, z):
+        self.grad_calls += 1
+        return -z
 
 
 class TestLeapfrog:
     def test_zero_gradient_moves_linearly(self):
-        def flat(z):
-            return 0.0, np.zeros_like(z)
-
+        flat = Target(lambda z: (0.0, np.zeros_like(z)), 2)
         q = np.array([1.0, -2.0])
         p = np.array([0.5, 0.25])
-        res = leapfrog(q, p, step_size=0.1, n_steps=7, grad_fn=flat)
+        res = leapfrog(flat, q, p, np.zeros(2), step_size=0.1, n_steps=7)
         assert np.allclose(res.position, q + 0.7 * p, atol=1e-14)
         assert np.allclose(res.momentum, p, atol=1e-14)
         assert not res.diverged
 
     def test_energy_conservation_small_step(self):
-        grad_fn = gaussian_target([1.0])
+        target = gaussian_target([1.0])
         q, p = np.array([0.3]), np.array([-1.1])
-        h0 = -grad_fn(q)[0] + 0.5 * float(p @ p)
-        res = leapfrog(q, p, step_size=1e-3, n_steps=100, grad_fn=grad_fn)
+        value, grad = target.log_posterior_grad(q)
+        h0 = -value + 0.5 * float(p @ p)
+        res = leapfrog(target, q, p, grad, step_size=1e-3, n_steps=100)
         h1 = -res.value + 0.5 * float(res.momentum @ res.momentum)
         assert abs(h1 - h0) < 1e-4
 
     def test_reversibility(self):
         rng = np.random.default_rng(0)
         scales = rng.uniform(0.5, 2.0, 4)
-        grad_fn = gaussian_target(scales)
+        target = gaussian_target(scales)
         q = rng.standard_normal(4)
         p = rng.standard_normal(4)
-        fwd = leapfrog(q, p, step_size=0.05, n_steps=30, grad_fn=grad_fn)
-        back = leapfrog(fwd.position, -fwd.momentum, step_size=0.05,
-                        n_steps=30, grad_fn=grad_fn)
+        fwd = leapfrog(target, q, p, target.grad(q), step_size=0.05,
+                       n_steps=30)
+        back = leapfrog(target, fwd.position, -fwd.momentum, fwd.grad,
+                        step_size=0.05, n_steps=30)
         assert np.allclose(back.position, q, atol=1e-8)
         assert np.allclose(-back.momentum, p, atol=1e-8)
 
@@ -63,9 +80,40 @@ class TestLeapfrog:
                 return -math.inf, np.full_like(z, np.nan)
             return 0.0, np.zeros_like(z)
 
-        res = leapfrog(np.array([0.9]), np.array([5.0]), 0.5, 3, cliff)
+        res = leapfrog(Target(cliff, 1), np.array([0.9]), np.array([5.0]),
+                       np.zeros(1), 0.5, 3)
         assert res.diverged
         assert res.value == -math.inf
+
+    @pytest.mark.parametrize("n_steps, grad_calls", [(8, 7), (1, 0)])
+    def test_density_only_at_the_end_point(self, n_steps, grad_calls):
+        target = CountingTarget(3)
+        q = np.array([0.2, -0.4, 0.1])
+        res = leapfrog(target, q, np.ones(3), -q, 0.1, n_steps)
+        assert not res.diverged
+        assert (target.value_calls, target.grad_calls) == (1, grad_calls)
+
+
+def trajectory(value=0.0, momentum=(0.0,), diverged=False):
+    return LeapfrogResult(np.zeros(1), np.array(momentum, dtype=float),
+                          value, np.zeros(1), diverged)
+
+
+class TestMetropolis:
+    @pytest.mark.parametrize("res", [
+        trajectory(-math.inf, diverged=True),
+        trajectory(math.nan),
+        trajectory(momentum=(math.inf,)),
+        trajectory(-(DIVERGENCE_ENERGY + 1.0)),
+    ], ids=["diverged", "nan_value", "infinite_momentum", "energy_rise"])
+    def test_divergent(self, res):
+        assert _metropolis(0.0, res) == (0.0, True)
+
+    def test_acceptance_probability(self):
+        assert _metropolis(0.0, trajectory(-2.0)) == (math.exp(-2.0), False)
+        assert _metropolis(0.0, trajectory(3.0)) == (1.0, False)
+        # a rise of exactly DIVERGENCE_ENERGY is rejected but not divergent
+        assert _metropolis(0.0, trajectory(-DIVERGENCE_ENERGY)) == (0.0, False)
 
 
 class TestDualAveraging:
@@ -89,7 +137,7 @@ class TestHmcChain:
         cfg = SamplerConfig(warmup=500, post_iter=4000, seed=0,
                             leapfrog_steps=8, target_accept=0.8)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
-        res = run_hmc_chain(gaussian_target([1.0, 4.0]), 2, cfg, rng)
+        res = run_hmc_chain(gaussian_target([1.0, 4.0]), cfg, rng)
         table = summarize(res.draws)
         for j, true_sd in enumerate((1.0, 2.0)):
             mcse = table.ts_se[j]
@@ -108,7 +156,7 @@ class TestHmcChain:
         for seed in (1, 2):
             rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(seed)))
-            res = run_hmc_chain(gaussian_target([1.0, 1.0]), 2, cfg, rng)
+            res = run_hmc_chain(gaussian_target([1.0, 1.0]), cfg, rng)
             tau = max(integrated_autocorr_time(res.draws[:, j])
                       for j in range(2))
             thinned = res.draws[::max(1, int(np.ceil(5 * tau)))]
@@ -123,24 +171,18 @@ class TestHmcChain:
         cfg = SamplerConfig(warmup=10, post_iter=10)
         rng = np.random.default_rng(0)
         with pytest.raises(NumericalError, match="initialization"):
-            run_hmc_chain(hopeless, 3, cfg, rng)
+            run_hmc_chain(Target(hopeless, 3), cfg, rng)
 
 
-def reference_leapfrog(position, momentum, step_size, n_steps, grad_fn,
-                       value_grad=None, grad_only=None):
+def reference_leapfrog(target, q, p, grad, step_size, n_steps):
     """Density and gradient at every step; stop at the first non-finite one."""
-    q = np.array(position, dtype=float)
-    p = np.array(momentum, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value, grad = grad_fn(q) if value_grad is None else value_grad
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            return LeapfrogResult(q, p, -math.inf, grad, True)
         p = p + 0.5 * step_size * grad
         for step in range(n_steps):
             q = q + step_size * p
             if not np.all(np.isfinite(q)):
                 return LeapfrogResult(q, p, -math.inf, grad, True)
-            value, grad = grad_fn(q)
+            value, grad = target.log_posterior_grad(q)
             if not (np.isfinite(value) and np.all(np.isfinite(grad))):
                 return LeapfrogResult(q, p, -math.inf, grad, True)
             p = p + (step_size if step < n_steps - 1 else 0.5 * step_size) * grad
@@ -164,13 +206,12 @@ class TestGradientOnlySteps:
         cfg = SamplerConfig(warmup=50, post_iter=50, leapfrog_steps=8,
                             target_accept=target)
 
-        def run(**kwargs):
+        def run():
             rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(seed)))
-            return run_hmc_chain(model.log_posterior_grad, model.dim, cfg,
-                                 rng, **kwargs)
+            return run_hmc_chain(model, cfg, rng)
 
-        new = run(grad_only=model.grad)
+        new = run()
         monkeypatch.setattr(sampler, "leapfrog", reference_leapfrog)
         ref = run()
         assert new.draws.tobytes() == ref.draws.tobytes()
