@@ -15,12 +15,12 @@ from .errors import CausalPchError, DataError, FormulaError, NumericalError
 from .formula import (DesignMatrix, FormulaSpec, Term, build_design,
                       format_formula, parse_formula)
 from .freq_oracle import MleFit, pch_mle
-from .gcomp import (BBWeights, GcompResult, apply_intervention,
-                    draw_bb_weights, exact_marginal_survival, gcompute)
+from .gcomp import (GcompResult, apply_intervention, draw_bb_weights,
+                    exact_marginal_survival, gcompute)
 from .hazard_model import (HazardModel, ParameterLayout, ParameterState,
                            Partition, PersonTime, PriorConfig, cum_base_hazard,
-                           expand_person_time, from_unconstrained, log_likelihood,
-                           log_prior, make_partition, to_unconstrained)
+                           expand_person_time, log_likelihood, log_prior,
+                           make_partition, to_unconstrained)
 from .sampler import (HazardPosterior, SamplerConfig, leapfrog, sample,
                       run_hmc_chain)
 
@@ -32,9 +32,9 @@ __all__ = [
     "Partition", "PersonTime", "ParameterState", "PriorConfig",
     "ParameterLayout", "HazardModel",
     "make_partition", "expand_person_time", "log_likelihood", "log_prior",
-    "to_unconstrained", "from_unconstrained", "cum_base_hazard",
+    "to_unconstrained", "cum_base_hazard",
     "SamplerConfig", "HazardPosterior", "sample", "leapfrog", "run_hmc_chain",
-    "BBWeights", "GcompResult", "draw_bb_weights", "apply_intervention",
+    "GcompResult", "draw_bb_weights", "apply_intervention",
     "gcompute", "exact_marginal_survival",
     "SummaryTable", "PsrfReport", "summarize", "psrf",
     "MleFit", "pch_mle",

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import load_csv, read_csv
-from .diagnostics import psrf, summarize
+from .diagnostics import _quantiles, psrf, summarize
 from .errors import CausalPchError, DataError, NumericalError
 from .formula import DesignMatrix, Term, parse_formula
 from .freq_oracle import pch_mle
@@ -295,8 +295,7 @@ def cmd_summarize(args) -> int:
     except ValueError:
         raise _UsageError(f"--probs must be comma-separated numbers, "
                           f"got {args.probs!r}") from None
-    table = summarize(blocks if len(blocks) > 1 else blocks[0],
-                      probs=probs, names=kept_names)
+    table = summarize(blocks, probs=probs, names=kept_names)
     print(table.to_text())
     out = Path(args.out)
     _write_csv(out, ["param", "mean", "sd", "naive_se", "ts_se"]
@@ -338,8 +337,7 @@ def cmd_hazard_export(args) -> int:
     hazards = posterior.hazard_draws
     lo_p, hi_p = (1 - args.level) / 2, 1 - (1 - args.level) / 2
     post_mean = hazards.mean(axis=0)
-    lo = np.quantile(hazards, lo_p, axis=0, method="linear")
-    hi = np.quantile(hazards, hi_p, axis=0, method="linear")
+    lo, hi = _quantiles(hazards, (lo_p, hi_p))
     person_time = expand_person_time(posterior.design.y, posterior.partition)
     mle = pch_mle(posterior.design, person_time, partition=posterior.partition)
     out = Path(args.out)

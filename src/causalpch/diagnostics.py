@@ -4,7 +4,8 @@
 standard error of the mean comes in a naive i.i.d. flavor (sd/sqrt(N)) and a
 time-series flavor via nonoverlapping batch means with batch size
 floor(sqrt(M)). Quantiles use the type-7 (linear interpolation) convention,
-which fixes the credible-interval endpoints.
+which fixes the credible-interval endpoints; they are computed bit for bit
+as ``np.quantile(method="linear")`` does, without its import of numpy.ma.
 
 ``psrf`` is the Gelman-Rubin potential scale reduction factor with the
 Brooks-Gelman degrees-of-freedom correction and an upper confidence limit
@@ -92,6 +93,25 @@ def _as_chain_list(draws) -> list[np.ndarray]:
     return out
 
 
+def _quantiles(x: np.ndarray, probs) -> np.ndarray:
+    """(len(probs), columns) type-7 quantiles of each column of ``x``, NaN
+    for a column holding a NaN: one sort, then numpy's lerp."""
+    s = np.sort(x, axis=0)
+    at = (len(s) - 1) * np.asarray(probs, dtype=float)
+    # as numpy indexes: at the top both neighbours are the last row, and
+    # the weight is counted from index -1
+    top = at >= len(s) - 1
+    lo = np.where(top, -1.0, np.floor(at))
+    hi = np.where(top, -1.0, lo + 1.0)
+    below, above = s[lo.astype(np.intp)], s[hi.astype(np.intp)]
+    g = (at - lo)[:, None]
+    with np.errstate(invalid="ignore"):      # inf - inf is NaN, as in numpy
+        diff = above - below
+        out = np.where(g < 0.5, below + diff * g, above - diff * (1 - g))
+    out[:, np.isnan(s[-1])] = np.nan
+    return out
+
+
 def _batch_means_var(chain: np.ndarray) -> np.ndarray:
     """Batch-means estimate of the long-run variance per column; NaN if < 4 batches."""
     m = chain.shape[0]
@@ -130,7 +150,7 @@ def summarize(draws, probs=(0.025, 0.975), names=None) -> SummaryTable:
     naive_se = sd / np.sqrt(n_total)
     bm = np.array([_batch_means_var(c) for c in chains])   # (chains, q)
     ts_se = np.sqrt(bm.mean(axis=0) / n_total)
-    quantiles = np.quantile(pooled, probs, axis=0, method="linear").T
+    quantiles = _quantiles(pooled, probs).T
     return SummaryTable(names=names, mean=mean, sd=sd, naive_se=naive_se,
                         ts_se=ts_se, probs=probs, quantiles=quantiles,
                         n_draws=n_total, n_chains=len(chains))

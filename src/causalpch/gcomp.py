@@ -3,17 +3,17 @@
 For each posterior draw m the confounder distribution gets a fresh Bayesian
 bootstrap weight vector pi ~ Dirichlet(1, ..., 1). Under each intervention
 a in {0, 1}, every subject's design row is rewritten (treatment column and
-all interaction columns involving it) and B event times are simulated from
-the piecewise-exponential hazard. The weighted average of the subjects'
-empirical survival curves is the marginal curve of that arm; the contrast
-ate(t) is the survival difference between the intervened arms.
+all interaction columns involving it), which gives the subject's survival
+S_i(t) = exp(-exp(x_i'beta) Lambda0(t)) under that arm. The marginal curve
+of an arm is the pi-weighted average of B simulated survival curves per
+subject; the contrast ate(t) is the survival difference between the arms.
 
-Event times are never drawn. A subject's B simulations matter only through
-how many fail between consecutive sorted grid times, and those counts are
-Multinomial(B, p_i) with p_i from S_i(t) = exp(-exp(x_i'beta) Lambda0(t)).
-One multinomial draw per subject and arm, weighted by pi / B, and a reverse
-cumulative sum give pi @ S(grid) at a cost that does not grow with B.
-Evaluation grids beyond the maximum observed time are rejected outright.
+The B simulations of a subject matter only through how many fail between
+consecutive sorted grid times, so they are drawn as counts,
+Multinomial(B, p_i) with cell probabilities p_i from S_i, one draw per
+subject and arm. Weighted by pi / B, the counts give pi @ S(grid) by a
+reverse cumulative sum, at a cost that does not grow with B. Evaluation
+grids beyond the maximum observed time are rejected outright.
 """
 
 from __future__ import annotations
@@ -26,19 +26,8 @@ from .errors import DataError
 from .formula import Term
 from .hazard_model import Partition, cum_base_hazard
 
-__all__ = ["BBWeights", "GcompResult", "draw_bb_weights", "apply_intervention",
+__all__ = ["GcompResult", "draw_bb_weights", "apply_intervention",
            "gcompute", "exact_marginal_survival"]
-
-
-@dataclass(frozen=True)
-class BBWeights:
-    """One Bayesian-bootstrap draw: nonnegative weights summing to one."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.pi < 0) or abs(float(self.pi.sum()) - 1.0) > 1e-12:
-            raise DataError("weights must be nonnegative and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -59,12 +48,13 @@ class GcompResult:
     grid_source: str        # "midpoints" or "user"
 
 
-def draw_bb_weights(n: int, rng: np.random.Generator) -> BBWeights:
-    """Dirichlet(1,...,1) via normalized unit exponentials."""
+def draw_bb_weights(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One Bayesian-bootstrap weight vector, Dirichlet(1,...,1), via
+    normalized unit exponentials."""
     if n < 1:
         raise DataError(f"need n >= 1, got {n}")
     g = rng.standard_exponential(n)
-    return BBWeights(pi=g / g.sum())
+    return g / g.sum()
 
 
 def apply_intervention(X: np.ndarray, terms: tuple[Term, ...],
@@ -123,6 +113,18 @@ def _subject_survival(X: np.ndarray, beta: np.ndarray,
     return np.exp(-cum)
 
 
+def _arm_survival(posterior, grid: np.ndarray):
+    """Per posterior draw, each subject's (n, T) survival on ``grid`` under
+    arm 0 and under arm 1; refuses a design without both arms."""
+    design = posterior.design
+    arms = [apply_intervention(design.X, design.terms, design.columns,
+                               posterior.treat_col, a) for a in (0, 1)]
+    design.check_treatment(posterior.treat_col)
+    for theta, beta in zip(posterior.hazard_draws, posterior.beta_draws):
+        lam = cum_base_hazard(theta, posterior.partition, grid)
+        yield [_subject_survival(X, beta, lam) for X in arms]
+
+
 def gcompute(posterior, ref: int = 0, b: int = 1000,
              grid: np.ndarray | None = None, seed: int | None = None,
              bb_weights: bool = True) -> GcompResult:
@@ -147,65 +149,41 @@ def gcompute(posterior, ref: int = 0, b: int = 1000,
 
     if seed is None:
         seed = posterior.config.seed
-    design = posterior.design
-    n = design.n
-    arms = {a: apply_intervention(design.X, design.terms, design.columns,
-                                  posterior.treat_col, a) for a in (0, 1)}
-    design.check_treatment(posterior.treat_col)
-    theta_draws = posterior.hazard_draws
-    beta_draws = posterior.beta_draws
-    M = theta_draws.shape[0]
-    T = len(grid)
-
-    surv = {0: np.empty((M, T)), 1: np.empty((M, T))}
+    n = posterior.design.n
+    M = len(posterior.draws)
+    surv = np.empty((2, M, len(grid)))
     order = np.argsort(grid, kind="stable")
-    sorted_grid = grid[order]
     # disjoint from the sampler's chain spawn keys (c,)
     root = np.random.SeedSequence(seed, spawn_key=(0x6C0,))
-    streams = root.spawn(M)
-    for m in range(M):
-        rng = np.random.Generator(np.random.Philox(streams[m]))
-        if bb_weights:
-            pi = draw_bb_weights(n, rng).pi
-        else:
-            pi = np.full(n, 1.0 / n)
-        lam = cum_base_hazard(theta_draws[m], partition, sorted_grid)
-        for a in (0, 1):
+    per_draw = _arm_survival(posterior, grid[order])
+    for m, (arms, stream) in enumerate(zip(per_draw, root.spawn(M))):
+        rng = np.random.Generator(np.random.Philox(stream))
+        pi = draw_bb_weights(n, rng) if bb_weights else np.full(n, 1.0 / n)
+        for a, S in enumerate(arms):
             # cell j: simulations failing in (t_{j-1}, t_j], clipped at 0
-            cells = -np.diff(_subject_survival(arms[a], beta_draws[m], lam),
-                             axis=1, prepend=1.0, append=0.0)
+            cells = -np.diff(S, axis=1, prepend=1.0, append=0.0)
             counts = rng.multinomial(b, np.maximum(cells, 0.0, out=cells))
             mass = pi @ counts / b
-            surv[a][m, order] = np.cumsum(mass[::-1])[::-1][1:]
-    surv_ref = surv[ref]
-    surv_trt = surv[1 - ref]
-    return GcompResult(times=grid, surv_ref=surv_ref, surv_trt=surv_trt,
-                       ate=surv_trt - surv_ref, ref_level=ref, B=b, seed=seed,
-                       grid_source=grid_source)
+            surv[a, m, order] = np.cumsum(mass[::-1])[::-1][1:]
+    return GcompResult(times=grid, surv_ref=surv[ref], surv_trt=surv[1 - ref],
+                       ate=surv[1 - ref] - surv[ref], ref_level=ref, B=b,
+                       seed=seed, grid_source=grid_source)
 
 
-def exact_marginal_survival(posterior, ref: int, grid: np.ndarray,
-                            weights: np.ndarray | None = None):
-    """Simulation-free marginal survival per arm: exp(-exp(x'beta) Lambda0(t)).
+def exact_marginal_survival(posterior, ref: int, grid: np.ndarray):
+    """Simulation-free marginal survival per arm: the uniform 1/n average of
+    exp(-exp(x'beta) Lambda0(t)) over subjects.
 
     Plug-in version of the g-formula used as an internal consistency oracle
-    for the Monte Carlo path; weights default to uniform 1/n.
+    for the Monte Carlo path. Returns (surv_ref, surv_trt, ate), each (M, T).
     """
     if ref not in (0, 1):
         raise DataError(f"ref must be 0 or 1, got {ref!r}")
-    partition = posterior.partition
-    grid = _validate_grid(grid, partition)
-    design = posterior.design
-    n = design.n
-    pi = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, float)
-    arms = {a: apply_intervention(design.X, design.terms, design.columns,
-                                  posterior.treat_col, a) for a in (0, 1)}
-    theta_draws = posterior.hazard_draws
-    beta_draws = posterior.beta_draws
-    M = theta_draws.shape[0]
-    out = {0: np.empty((M, len(grid))), 1: np.empty((M, len(grid)))}
-    for m in range(M):
-        lam0 = cum_base_hazard(theta_draws[m], partition, grid)   # (T,)
-        for a in (0, 1):
-            out[a][m] = pi @ _subject_survival(arms[a], beta_draws[m], lam0)
-    return out[ref], out[1 - ref], out[1 - ref] - out[ref]
+    grid = _validate_grid(grid, posterior.partition)
+    n = posterior.design.n
+    pi = np.full(n, 1.0 / n)
+    surv = np.empty((2, len(posterior.draws), len(grid)))
+    for m, arms in enumerate(_arm_survival(posterior, grid)):
+        for a, S in enumerate(arms):
+            surv[a, m] = pi @ S
+    return surv[ref], surv[1 - ref], surv[1 - ref] - surv[ref]

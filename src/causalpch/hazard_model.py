@@ -29,7 +29,7 @@ __all__ = [
     "Partition", "PersonTime", "ParameterState", "PriorConfig",
     "ParameterLayout", "HazardModel",
     "make_partition", "expand_person_time", "log_likelihood", "log_prior",
-    "to_unconstrained", "from_unconstrained", "cum_base_hazard",
+    "to_unconstrained", "cum_base_hazard",
 ]
 
 INDEPENDENT = "independent"
@@ -94,12 +94,6 @@ class PersonTime:
     def n(self) -> int:
         return len(self.k_star)
 
-    def delta_t(self, i: int) -> np.ndarray:
-        """Full exposure vector of subject i (length k_star_i)."""
-        out = np.full(int(self.k_star[i]), self.dtau)
-        out[-1] = self.dt_last[i]
-        return out
-
 
 def expand_person_time(y: np.ndarray, partition: Partition) -> PersonTime:
     """Transpose observed times onto the partition."""
@@ -147,8 +141,9 @@ class PriorConfig:
 
 class ParameterLayout:
     """Order of a parameter row: theta_tilde (K), beta (p), eta, rho (if
-    ``has_rho``), nu (K). The sampler holds atanh rho and log nu, which
-    ``constrain`` maps back. Methods take a row or a (draws, dim) block."""
+    ``has_rho``), nu (K). The sampler holds atanh rho and log nu:
+    ``constrain`` maps them back and ``unconstrain`` maps a stored row there.
+    Methods take a row or a (draws, dim) block."""
 
     def __init__(self, K: int, p: int, has_rho: bool):
         self.K, self.theta, self.beta = K, slice(0, K), slice(K, K + p)
@@ -177,6 +172,14 @@ class ParameterLayout:
         if self.rho is not None:
             out[..., self.rho] = np.tanh(out[..., self.rho])
         out[..., self.nu] = np.exp(out[..., self.nu])
+        return out
+
+    def unconstrain(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of ``constrain``: a copy with rho = atanh and nu = log."""
+        out = np.array(x, dtype=float)
+        if self.rho is not None:
+            out[..., self.rho] = np.arctanh(out[..., self.rho])
+        out[..., self.nu] = np.log(out[..., self.nu])
         return out
 
     def log_jacobian(self, z: np.ndarray):
@@ -394,7 +397,7 @@ def log_prior(state: ParameterState, config: PriorConfig) -> float:
 
 def to_unconstrained(state: ParameterState, config: PriorConfig) -> np.ndarray:
     """Map a constrained state to the sampler's unconstrained coordinates,
-    listing ParameterState's fields in order, which is the layout's."""
+    in the layout's order."""
     theta, beta, nu = (np.asarray(v, dtype=float)
                        for v in (state.theta_tilde, state.beta, state.nu))
     if not (theta.shape == nu.shape == (config.K,) and np.all(nu > 0)
@@ -403,22 +406,13 @@ def to_unconstrained(state: ParameterState, config: PriorConfig) -> np.ndarray:
             and (abs(state.rho) < 1 or not config.has_rho)):
         raise DataError(f"state outside the support: theta_tilde and nu need K={config.K} "
                         "entries, nu > 0, |rho| < 1 and every entry finite")
-    rho = [math.atanh(state.rho)] if config.has_rho else []
-    return np.concatenate([theta, beta, [state.eta], rho, np.log(nu)])
-
-
-def from_unconstrained(z: np.ndarray, config: PriorConfig) -> tuple[ParameterState, float]:
-    """Inverse of to_unconstrained; also returns the log-Jacobian adjustment."""
-    z = np.asarray(z, dtype=float)
-    p = len(z) - ParameterLayout(config.K, 0, config.has_rho).dim
-    if p < 0 or not np.isfinite(z).all():
-        raise DataError(f"unconstrained vector of length {len(z)} is non-finite "
-                        f"or too short for K={config.K}")
-    layout = ParameterLayout(config.K, p, config.has_rho)
-    theta, beta, eta, rho, nu = layout.split(layout.constrain(z))
-    state = ParameterState(theta_tilde=theta, beta=beta, eta=float(eta),
-                           rho=0.0 if rho is None else float(rho), nu=nu)
-    return state, float(layout.log_jacobian(z))
+    layout = ParameterLayout(config.K, len(beta), config.has_rho)
+    row = np.empty(layout.dim)
+    row[layout.theta], row[layout.beta], row[layout.nu] = theta, beta, nu
+    row[layout.eta] = state.eta
+    if layout.rho is not None:
+        row[layout.rho] = state.rho
+    return layout.unconstrain(row)
 
 
 def cum_base_hazard(theta: np.ndarray, partition: Partition, t) -> np.ndarray | float:

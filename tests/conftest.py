@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import causalpch
 from causalpch import load_csv, make_partition, expand_person_time, build_design
 from causalpch.formula import parse_formula
 
@@ -22,6 +27,16 @@ def veteran():
 @pytest.fixture(scope="session")
 def veteran_design(veteran):
     return build_design(veteran, parse_formula(ADJUSTED_FORMULA))
+
+
+def run_fresh_python(code: str) -> subprocess.CompletedProcess:
+    """``python -c code`` in a new interpreter that imports this causalpch."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(causalpch.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def random_survival_data(rng, n=40, p=2, max_time=10.0):

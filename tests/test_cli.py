@@ -8,7 +8,7 @@ import pytest
 from causalpch import PriorConfig, SamplerConfig
 from causalpch.cli import _RECORDED, build_parser, main, read_numeric_csv
 
-from conftest import VETERAN_CSV
+from conftest import VETERAN_CSV, run_fresh_python
 
 
 @pytest.fixture()
@@ -443,6 +443,24 @@ def test_bad_chain_label_exit_code(tmp_path, tiny_csv, capsys, label, command):
     assert rc == 2
     assert "chain labels must be integers >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["summarize", "hazard-export"])
+def test_quantiles_leave_numpy_ma_unloaded(tmp_path, tiny_csv, command):
+    # np.quantile imports numpy.ma on first use, about 18 ms per process
+    fit = run_fit(tmp_path, tiny_csv)
+    argv = (["summarize", "--file", str(fit / "draws.csv")]
+            if command == "summarize" else
+            ["hazard-export", "--draws", str(fit / "draws.csv"),
+             "--meta", str(fit / "meta.json")])
+    argv += ["--out", str(tmp_path / "out.csv")]
+    proc = run_fresh_python(
+        "import sys; from causalpch.cli import main; "
+        "before = 'numpy.ma' in sys.modules; "
+        f"rc = main({argv!r}); "
+        "print(rc, before, 'numpy.ma' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
 
 
 class TestHazardExport:

@@ -1,14 +1,12 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import causalpch
 from causalpch import DataError, psrf, summarize
+from causalpch.diagnostics import _quantiles
+
+from conftest import run_fresh_python
 
 
 class TestSummarize:
@@ -77,6 +75,33 @@ class TestSummarize:
         assert "Time-series SE" in text
 
 
+SPECIAL_VALUES = ("none", "inf", "-inf", "nan", "constant", "ties")
+
+
+class TestQuantiles:
+    @pytest.mark.parametrize("special", SPECIAL_VALUES)
+    def test_bit_equal_to_numpy_linear(self, special):
+        rng = np.random.default_rng(SPECIAL_VALUES.index(special))
+        for _ in range(200):
+            n, q = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+            x = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), (n, q))
+            hit = rng.random((n, q)) < 0.2
+            if special == "inf":
+                x[hit] = np.inf
+            elif special == "-inf":
+                x[hit] = -np.inf
+            elif special == "nan":
+                x[hit] = np.nan
+            elif special == "constant":
+                x[:, 0] = x[0, 0]
+            elif special == "ties":
+                x = rng.integers(-3, 4, (n, q)).astype(float)
+            probs = (0.0, 1.0, 0.025, 0.975, *rng.random(3))
+            with np.errstate(invalid="ignore"):
+                want = np.quantile(x, probs, axis=0, method="linear")
+            assert np.array_equal(_quantiles(x, probs), want, equal_nan=True)
+
+
 class TestPsrf:
     def test_same_distribution_upper_near_one(self):
         rng = np.random.default_rng(5)
@@ -142,15 +167,9 @@ class TestPsrf:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats dominates import time and memory; psrf does not need it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(causalpch.__file__).resolve().parent.parent)]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, causalpch; before = 'scipy.stats' in sys.modules; "
-         "causalpch.psrf([[1.0, 2.0, 4.0, 3.0], [2.0, 1.0, 0.0, 5.0]]); "
-         "print(before, 'scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = run_fresh_python(
+        "import sys, causalpch; before = 'scipy.stats' in sys.modules; "
+        "causalpch.psrf([[1.0, 2.0, 4.0, 3.0], [2.0, 1.0, 0.0, 5.0]]); "
+        "print(before, 'scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"

@@ -19,12 +19,12 @@ def rng_for(seed):
 class TestBBWeights:
     def test_single_subject(self):
         w = draw_bb_weights(1, rng_for(0))
-        assert w.pi.tolist() == [1.0]
+        assert w.tolist() == [1.0]
 
     def test_dirichlet_moments(self):
         n, reps = 137, 10000
         rng = rng_for(1)
-        first = np.array([draw_bb_weights(n, rng).pi[0] for _ in range(reps)])
+        first = np.array([draw_bb_weights(n, rng)[0] for _ in range(reps)])
         target_mean = 1.0 / n
         mcse = first.std(ddof=1) / math.sqrt(reps)
         assert abs(first.mean() - target_mean) < 3 * mcse
@@ -170,6 +170,8 @@ class TestGcompute:
         post.design.X[:, 0] = 1.0
         with pytest.raises(DataError, match="not identified"):
             gcompute(post, ref=0, b=8)
+        with pytest.raises(DataError, match="not identified"):
+            exact_marginal_survival(post, ref=0, grid=np.array([2.0, 6.0]))
 
 
 def inverse_cdf_gcompute(post, b, grid, seed, bb_weights=True):
@@ -188,7 +190,7 @@ def inverse_cdf_gcompute(post, b, grid, seed, bb_weights=True):
     out = np.zeros((2, len(post.draws), len(grid)))
     for m, stream in enumerate(streams):
         rng = np.random.Generator(np.random.Philox(stream))
-        pi = (draw_bb_weights(design.n, rng).pi if bb_weights
+        pi = (draw_bb_weights(design.n, rng) if bb_weights
               else np.full(design.n, 1.0 / design.n))
         hazard = post.hazard_draws[m]
         knots = np.concatenate(([0.0], part.dtau * np.cumsum(hazard)))

@@ -8,8 +8,8 @@ from scipy import integrate
 from causalpch import (DataError, HazardModel, HazardPosterior,
                        ParameterLayout, ParameterState, PriorConfig,
                        SamplerConfig, cum_base_hazard, expand_person_time,
-                       from_unconstrained, log_likelihood, log_prior,
-                       make_partition, to_unconstrained)
+                       log_likelihood, log_prior, make_partition,
+                       to_unconstrained)
 from causalpch.formula import DesignMatrix, Term
 from causalpch.hazard_model import PersonTime
 
@@ -53,12 +53,18 @@ class TestPartition:
             make_partition(0.0, 10)
 
 
+def exposure(pt):
+    """Each subject's total exposure: full intervals, then the last one."""
+    return (pt.k_star - 1) * pt.dtau + pt.dt_last
+
+
 class TestPersonTime:
     def test_worked_example(self):
         part = make_partition(3.65 * 4, 4)   # dtau = 3.65
         pt = expand_person_time(np.array([5.0]), part)
         assert pt.k_star[0] == 2
-        assert pt.delta_t(0) == pytest.approx([3.65, 1.35])
+        assert (pt.dtau, pt.dt_last[0]) == pytest.approx((3.65, 1.35))
+        assert exposure(pt)[0] == pytest.approx(5.0)
 
     def test_time_at_right_endpoint_stays_in_interval(self):
         part = make_partition(10.0, 4)
@@ -71,8 +77,7 @@ class TestPersonTime:
         part = make_partition(9.0, 7)
         y = np.array([0.3, 4.5, 8.999, 9.0])
         pt = expand_person_time(y, part)
-        for i in range(len(y)):
-            assert pt.delta_t(i).sum() == pytest.approx(y[i], rel=1e-12)
+        assert exposure(pt) == pytest.approx(y, rel=1e-12)
 
     @given(st.floats(min_value=1e-6, max_value=1.0, exclude_min=True),
            st.integers(min_value=1, max_value=30))
@@ -81,7 +86,7 @@ class TestPersonTime:
         part = make_partition(17.0, K)
         y = np.array([frac * 17.0])
         pt = expand_person_time(y, part)
-        assert pt.delta_t(0).sum() == pytest.approx(y[0], rel=1e-9)
+        assert exposure(pt)[0] == pytest.approx(y[0], rel=1e-9)
         assert 0 < pt.dt_last[0] <= pt.dtau * (1 + 1e-12)
 
     def test_out_of_range(self):
@@ -243,8 +248,8 @@ class TestTransforms:
                                nu=np.ones(2))
         z = to_unconstrained(state, cfg)
         assert z.tolist() == [0.5, -0.5, 1.0, 0.3, 0.0, 0.0, 0.0]
-        back, log_jac = from_unconstrained(z, cfg)
-        assert log_jac == 0.0   # all nu = 1 and rho = 0
+        layout = ParameterLayout(cfg.K, 1, cfg.has_rho)
+        assert layout.log_jacobian(z) == 0.0   # all nu = 1 and rho = 0
 
     def test_round_trip(self):
         rng = np.random.default_rng(12)
@@ -252,21 +257,19 @@ class TestTransforms:
             cfg = PriorConfig(model_kind=kind, K=5)
             state = random_state(rng, 5, 3, ar1=(kind == "ar1"))
             z = to_unconstrained(state, cfg)
-            back, log_jac = from_unconstrained(z, cfg)
-            assert np.allclose(back.theta_tilde, state.theta_tilde, atol=1e-12)
-            assert np.allclose(back.beta, state.beta, atol=1e-12)
-            assert back.eta == pytest.approx(state.eta, abs=1e-12)
-            assert back.rho == pytest.approx(state.rho, abs=1e-12)
-            assert np.allclose(back.nu, state.nu, rtol=1e-12)
+            layout = ParameterLayout(cfg.K, 3, cfg.has_rho)
+            theta, beta, eta, rho, nu = layout.split(layout.constrain(z))
+            log_jac = layout.log_jacobian(z)
+            assert np.allclose(theta, state.theta_tilde, atol=1e-12)
+            assert np.allclose(beta, state.beta, atol=1e-12)
+            assert eta == pytest.approx(state.eta, abs=1e-12)
+            assert (0.0 if rho is None else rho) == pytest.approx(state.rho,
+                                                                  abs=1e-12)
+            assert np.allclose(nu, state.nu, rtol=1e-12)
             expected_jac = float(np.log(state.nu).sum())
             if kind == "ar1":
                 expected_jac += math.log1p(-state.rho**2)
             assert log_jac == pytest.approx(expected_jac, rel=1e-12)
-
-    def test_non_finite_rejected(self):
-        cfg = PriorConfig(model_kind="independent", K=1)
-        with pytest.raises(DataError):
-            from_unconstrained(np.array([np.nan, 0.0, 0.0]), cfg)
 
     @pytest.mark.parametrize("kind,change", [
         ("ar1", dict(rho=1.0)),
@@ -331,6 +334,12 @@ class TestParameterLayout:
             assert layout.constrain(row).tobytes() == expected.tobytes()
         assert block.tobytes() == before.tobytes()
 
+    def test_unconstrain_inverts_constrain(self, kind, p):
+        layout = self.layout(kind, p)
+        block = np.random.default_rng(21).normal(0.0, 1.0, (40, layout.dim))
+        back = layout.unconstrain(layout.constrain(block))
+        assert np.allclose(back, block, rtol=0, atol=1e-12)
+
     def test_to_unconstrained_follows_layout(self, kind, p):
         cfg = PriorConfig(model_kind=kind, K=self.K)
         state = random_state(np.random.default_rng(20), self.K, p,
@@ -340,7 +349,7 @@ class TestParameterLayout:
         assert theta.tobytes() == state.theta_tilde.tobytes()
         assert beta.tobytes() == state.beta.tobytes()
         assert eta == state.eta
-        assert rho == (math.atanh(state.rho) if kind == "ar1" else None)
+        assert rho == (np.arctanh(state.rho) if kind == "ar1" else None)
         assert nu.tobytes() == np.log(state.nu).tobytes()
 
     def test_posterior_slices_follow_param_names(self, kind, p):
@@ -400,7 +409,10 @@ class TestLogPosteriorGrad:
         model, cfg = build_model(rng)
         z = rng.uniform(-0.8, 0.8, model.dim)
         value, _ = model.log_posterior_grad(z)
-        state, log_jac = from_unconstrained(z, cfg)
+        layout = model.layout
+        theta, beta, eta, rho, nu = layout.split(layout.constrain(z))
+        state = ParameterState(theta, beta, float(eta), float(rho), nu)
+        log_jac = layout.log_jacobian(z)
         ll = log_likelihood(state, model.design, model.likelihood.pt,
                             delta=model.design.delta)
         lp = log_prior(state, cfg)
