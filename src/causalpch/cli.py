@@ -221,9 +221,7 @@ def cmd_fit(args) -> int:
         raise _UsageError("fit requires --data and --formula "
                           "(directly or via --config)")
     spec = parse_formula(formula_text)
-    dataset = load_csv(data_path, time_col=spec.time_var,
-                       event_col=spec.event_var,
-                       treat_col=settings.get("treat_col") or "A")
+    dataset = load_csv(data_path, treat_col=settings.get("treat_col") or "A")
     prior = _from_settings(PriorConfig, settings)
     sampler_config = _from_settings(SamplerConfig, settings)
 
@@ -280,7 +278,7 @@ def _split_chains(names: list[str], mat: np.ndarray, path):
         bad = np.nonzero(~ok)[0]
         if bad.size:
             raise DataError(f"{path}: chain labels must be integers >= 1; "
-                            f"row {bad[0] + 1} has {chain[bad[0]]!r}")
+                            f"row {bad[0] + 1} has {float(chain[bad[0]])}")
         blocks = [mat[chain == c][:, keep] for c in sorted(set(chain))]
     else:
         blocks = [mat[:, keep]]

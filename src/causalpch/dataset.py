@@ -1,9 +1,11 @@
-"""Subject-level data ingestion: CSV parsing, validation, one-hot encoding.
+"""Subject-level data ingestion: CSV parsing and one-hot encoding.
 
-A loaded Dataset holds only numeric columns: string-valued CSV columns are
-expanded into 0/1 indicators at load time (one column per level, named
-``<column><level>``, levels in order of first appearance). Missing values
-are a hard error, never imputed.
+A loaded Dataset is a parsed table and nothing more: string-valued CSV
+columns are expanded into 0/1 indicators at load time (one column per level,
+named ``<column><level>``, levels in order of first appearance), and missing
+values are a hard error, never imputed. No column is validated at load time:
+the formula's ``Surv()`` names the response, and ``build_design`` checks the
+columns a model uses when the data enters it.
 """
 
 from __future__ import annotations
@@ -22,46 +24,10 @@ _MISSING = {"", "na", "nan", "null", "none"}
 
 @dataclass
 class Dataset:
-    """Named columns of equal length plus the designated response/treatment names."""
+    """Named columns of equal length plus the name of the treatment column."""
 
     columns: dict[str, np.ndarray] = field(default_factory=dict)
-    time_col: str = "y"
-    event_col: str = "delta"
     treat_col: str = "A"
-
-    @property
-    def n(self) -> int:
-        return len(next(iter(self.columns.values()))) if self.columns else 0
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.columns[self.time_col]
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.columns[self.event_col]
-
-    @property
-    def treatment(self) -> np.ndarray:
-        return self.columns[self.treat_col]
-
-    def validate(self) -> "Dataset":
-        """Check the core invariants; return self so calls can be chained."""
-        for name in (self.time_col, self.event_col, self.treat_col):
-            if name not in self.columns:
-                raise DataError(f"designated column {name!r} not present")
-        lengths = {name: len(col) for name, col in self.columns.items()}
-        if len(set(lengths.values())) > 1:
-            raise DataError(f"columns have unequal lengths: {lengths}")
-        for name, col in self.columns.items():
-            if not np.issubdtype(col.dtype, np.number):
-                raise DataError(f"column {name!r} is not numeric")
-        if self.n < 2:
-            raise DataError(f"need at least 2 subjects, got {self.n}")
-        check_response(self.y, self.delta, self.time_col, self.event_col)
-        _check_rows(self.treat_col, self.treatment,
-                    np.isin(self.treatment, (0.0, 1.0)), "0/1")
-        return self
 
 
 def check_response(y, delta, time_name: str, event_name: str) -> None:
@@ -77,7 +43,7 @@ def _check_rows(name: str, col, ok, rule: str) -> None:
     bad = np.nonzero(~ok)[0]
     if bad.size:
         raise DataError(f"{name!r} must be {rule}; "
-                        f"row {bad[0] + 1} has value {col[bad[0]]!r}")
+                        f"row {bad[0] + 1} has value {float(col[bad[0]])}")
 
 
 def _parse_column(name: str, raw: list[str]) -> np.ndarray:
@@ -115,9 +81,8 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return [h.strip() for h in header], rows
 
 
-def load_csv(path, time_col: str = "y", event_col: str = "delta",
-             treat_col: str = "A") -> Dataset:
-    """Load a header-full CSV, one-hot encode string columns, validate.
+def load_csv(path, treat_col: str = "A") -> Dataset:
+    """Load a header-full CSV and one-hot encode its string columns.
 
     Deterministic: the same file always yields an identical Dataset.
     """
@@ -133,17 +98,11 @@ def load_csv(path, time_col: str = "y", event_col: str = "delta",
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
 
-    d = Dataset(columns=columns, time_col=time_col, event_col=event_col,
-                treat_col=treat_col)
-    for name in (time_col, event_col, treat_col):
-        if name not in d.columns:
-            raise DataError(f"{path}: designated column {name!r} not present")
-        if not np.issubdtype(d.columns[name].dtype, np.number):
-            raise DataError(f"{path}: designated column {name!r} is not numeric")
+    d = Dataset(columns=columns, treat_col=treat_col)
     for name in list(d.columns):
         if not np.issubdtype(d.columns[name].dtype, np.number):
             d = one_hot(d, name)
-    return d.validate()
+    return d
 
 
 def one_hot(d: Dataset, col: str) -> Dataset:
@@ -172,5 +131,4 @@ def one_hot(d: Dataset, col: str) -> Dataset:
                                 "with an existing column")
             new_cols[indicator_name] = np.array(
                 [1.0 if v == level else 0.0 for v in values])
-    return Dataset(columns=new_cols, time_col=d.time_col,
-                   event_col=d.event_col, treat_col=d.treat_col)
+    return Dataset(columns=new_cols, treat_col=d.treat_col)

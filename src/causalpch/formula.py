@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_response
+from .dataset import _check_rows, check_response
 from .errors import DataError, FormulaError
 
 __all__ = ["Term", "FormulaSpec", "DesignMatrix", "parse_formula",
@@ -98,10 +98,10 @@ class DesignMatrix:
         """Require a 0/1 treatment column with subjects in both arms.
 
         With every subject in one arm the causal contrast is not identified.
+        The DataError for a value other than 0/1 names its first row.
         """
         a = self.X[:, self.columns.index(treat_col)]
-        if not np.all(np.isin(a, (0.0, 1.0))):
-            raise DataError(f"treatment column {treat_col!r} must be 0/1")
+        _check_rows(treat_col, a, np.isin(a, (0.0, 1.0)), "0/1")
         for level in (0, 1):
             if not np.any(a == level):
                 raise DataError(
@@ -228,20 +228,26 @@ def format_formula(spec: FormulaSpec) -> str:
 def build_design(dataset, spec: FormulaSpec) -> DesignMatrix:
     """Expand ``spec`` against ``dataset`` into a numeric design matrix.
 
-    Columns follow ``spec.terms`` order; interaction columns are elementwise
-    products of their two component columns.
+    This is where data enters the model: every column the formula names must
+    be present and numeric, and the response must pass ``check_response``
+    (its DataError names the formula's columns). Columns follow
+    ``spec.terms`` order; interaction columns are elementwise products of
+    their two component columns.
     """
     def column(name: str) -> np.ndarray:
         try:
             col = dataset.columns[name]
         except KeyError:
-            raise DataError(f"formula references unknown column {name!r}") from None
+            raise DataError(f"formula references unknown column {name!r}; "
+                            "the data has columns "
+                            f"{', '.join(dataset.columns)}") from None
         if not np.issubdtype(np.asarray(col).dtype, np.number):
             raise DataError(f"column {name!r} is not numeric")
         return np.asarray(col, dtype=float)
 
     y = column(spec.time_var)
     delta = column(spec.event_var)
+    check_response(y, delta, spec.time_var, spec.event_var)
     cols = []
     for term in spec.terms:
         if term.is_interaction:

@@ -89,6 +89,8 @@ def _validate_grid(grid: np.ndarray, partition: Partition) -> np.ndarray:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise DataError("empty evaluation grid")
+    if not np.all(np.isfinite(grid)):
+        raise DataError("evaluation times must be finite numbers")
     beyond = grid[grid > partition.max_time]
     if beyond.size:
         raise DataError(
@@ -149,6 +151,8 @@ def gcompute(posterior, ref: int = 0, b: int = 1000,
 
     if seed is None:
         seed = posterior.config.seed
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed!r}")
     n = posterior.design.n
     M = len(posterior.draws)
     surv = np.empty((2, M, len(grid)))

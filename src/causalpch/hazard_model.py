@@ -100,7 +100,7 @@ def expand_person_time(y: np.ndarray, partition: Partition) -> PersonTime:
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0) or np.any(y > partition.max_time):
         bad = np.nonzero((y <= 0) | (y > partition.max_time))[0][0]
-        raise DataError(f"time {y[bad]!r} (row {bad + 1}) outside "
+        raise DataError(f"time {float(y[bad])} (row {bad + 1}) outside "
                         f"(0, {partition.max_time}]")
     k_star = np.searchsorted(partition.endpoints, y, side="left").astype(np.int64)
     dt_last = y - partition.endpoints[k_star - 1]
@@ -251,10 +251,7 @@ class _PoissonLikelihood:
         D = -exp_t * self.exposure(r)
         C = np.empty((self.K, self.p))
         for j in range(self.p):
-            w = self.X[:, j] * r
-            Gj = np.bincount(self.ks0, weights=w, minlength=self.K)
-            Gdj = np.bincount(self.ks0, weights=w * self.dt_last, minlength=self.K)
-            C[:, j] = self.dtau * (w.sum() - np.cumsum(Gj)) + Gdj
+            C[:, j] = self.exposure(self.X[:, j] * r)
         C *= -exp_t[:, None]
         F = -(self.X * (r * cumhaz)[:, None]).T @ self.X
         return D, C, F
@@ -425,7 +422,7 @@ def cum_base_hazard(theta: np.ndarray, partition: Partition, t) -> np.ndarray | 
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0) or np.any(t_arr > partition.max_time):
         bad = t_arr[(t_arr < 0) | (t_arr > partition.max_time)][0]
-        raise DataError(f"time {bad!r} outside [0, {partition.max_time}]")
+        raise DataError(f"time {float(bad)} outside [0, {partition.max_time}]")
     knots = np.concatenate(([0.0], partition.dtau * np.cumsum(theta)))
     out = np.interp(t_arr, partition.endpoints, knots)
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out

@@ -73,6 +73,8 @@ class SamplerConfig:
             raise DataError("target_accept must be in (0, 1)")
         if self.threads is not None and self.threads < 1:
             raise DataError(f"threads must be >= 1, got {self.threads!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed!r}")
 
 
 class LeapfrogResult(NamedTuple):

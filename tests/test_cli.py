@@ -5,8 +5,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from causalpch import PriorConfig, SamplerConfig
-from causalpch.cli import _RECORDED, build_parser, main, read_numeric_csv
+from causalpch import (DataError, PriorConfig, SamplerConfig, cum_base_hazard,
+                       expand_person_time, make_partition)
+from causalpch.cli import (_RECORDED, _split_chains, build_parser, main,
+                           read_numeric_csv)
+from causalpch.dataset import check_response
 
 from conftest import VETERAN_CSV, run_fresh_python
 
@@ -160,6 +163,15 @@ class TestFit:
         assert rc == 2
         assert "threads" in capsys.readouterr().err
 
+    def test_negative_seed_exit_code(self, tmp_path, tiny_csv, capsys):
+        rc = main(["fit", "--data", str(tiny_csv),
+                   "--formula", "Surv(y, delta) ~ A",
+                   "--warmup", "10", "--iters", "10", "--seed", "-1",
+                   "--out-dir", str(tmp_path / "never")])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_missing_required(self):
         assert main(["fit"]) == 1
 
@@ -265,6 +277,20 @@ class TestGcomp:
                    "--out-dir", str(tmp_path / "gc3")])
         assert rc == 2
         assert "maximum observed time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, words", [
+        (["--times", "nan,10"], "finite"),
+        (["--seed", "-5"], "seed"),
+    ], ids=["nan_time", "negative_seed"])
+    def test_bad_argument_exit_code(self, tmp_path, tiny_csv, capsys, args,
+                                    words):
+        fit = run_fit(tmp_path, tiny_csv)
+        rc = main(["gcomp", "--draws", str(fit / "draws.csv"),
+                   "--meta", str(fit / "meta.json"), *args,
+                   "--out-dir", str(tmp_path / "never")])
+        assert rc == 2
+        assert words in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_ate_equals_difference(self, tmp_path, tiny_csv):
         fit = run_fit(tmp_path, tiny_csv)
@@ -443,6 +469,23 @@ def test_bad_chain_label_exit_code(tmp_path, tiny_csv, capsys, label, command):
     assert rc == 2
     assert "chain labels must be integers >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: check_response(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
+                            "y", "delta"), "2.0"),
+    (lambda: _split_chains(["chain"], np.array([[1.0], [2.5]]), "d.csv"),
+     "2.5"),
+    (lambda: expand_person_time(np.array([1.0, 11.0]),
+                                make_partition(10.0, 2)), "11.0"),
+    (lambda: cum_base_hazard(np.zeros(2), make_partition(10.0, 2),
+                             np.array([12.5])), "12.5"),
+], ids=["check_rows", "split_chains", "expand_person_time", "cum_base_hazard"])
+def test_error_messages_print_plain_numbers(call, value):
+    with pytest.raises(DataError) as exc:
+        call()
+    assert "np." not in str(exc.value)
+    assert value in str(exc.value)
 
 
 @pytest.mark.parametrize("command", ["summarize", "hazard-export"])

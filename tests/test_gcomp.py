@@ -154,6 +154,15 @@ class TestGcompute:
         with pytest.raises(DataError, match="maximum observed time"):
             gcompute(post, ref=0, b=16, grid=np.array([5.0, 12.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        post = synthetic_posterior()
+        grid = np.array([bad, 5.0])
+        with pytest.raises(DataError, match="finite"):
+            gcompute(post, ref=0, b=16, grid=grid)
+        with pytest.raises(DataError, match="finite"):
+            exact_marginal_survival(post, ref=0, grid=grid)
+
     def test_bad_ref(self):
         post = synthetic_posterior()
         with pytest.raises(DataError, match="ref"):

@@ -229,7 +229,7 @@ def tiny_dataset(n=24, seed=0):
     delta = (rng.random(n) < 0.8).astype(float)
     delta[0] = 1.0
     return Dataset(columns={"y": y, "delta": delta, "A": a,
-                            "x": rng.standard_normal(n)}).validate()
+                            "x": rng.standard_normal(n)})
 
 
 class TestSample:
