@@ -370,9 +370,9 @@ def _add_fit_flags(fit: _Parser) -> _Parser:
     fit.add_argument("--leapfrog-steps", dest="leapfrog_steps", type=int)
     fit.add_argument("--target-accept", dest="target_accept", type=float)
     fit.add_argument("--threads", type=int,
-                     help="worker threads for chains, at least 1 (default "
-                          f"{SamplerConfig.threads}; 1 runs the chains one "
-                          "after another)")
+                     help="accepted for compatibility and checked to be at "
+                          "least 1, but without effect: the chains run in "
+                          "lockstep in one thread")
     fit.add_argument("--out-dir", dest="out_dir")
     return fit
 

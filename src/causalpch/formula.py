@@ -230,7 +230,8 @@ def build_design(dataset, spec: FormulaSpec) -> DesignMatrix:
 
     This is where data enters the model: every column the formula names must
     be present and numeric, and the response must pass ``check_response``
-    (its DataError names the formula's columns). Columns follow
+    (its DataError names the formula's columns), and every column must
+    have as many rows as the time column. Columns follow
     ``spec.terms`` order; interaction columns are elementwise products of
     their two component columns.
     """
@@ -243,7 +244,12 @@ def build_design(dataset, spec: FormulaSpec) -> DesignMatrix:
                             f"{', '.join(dataset.columns)}") from None
         if not np.issubdtype(np.asarray(col).dtype, np.number):
             raise DataError(f"column {name!r} is not numeric")
-        return np.asarray(col, dtype=float)
+        col = np.asarray(col, dtype=float)
+        # y is bound by the first call, which reads the time column itself
+        if name != spec.time_var and col.shape != y.shape:
+            raise DataError(f"column {name!r} has shape {col.shape}, but the "
+                            f"time column {spec.time_var!r} has {y.shape}")
+        return col
 
     y = column(spec.time_var)
     delta = column(spec.event_var)

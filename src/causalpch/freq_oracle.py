@@ -60,7 +60,7 @@ def pch_mle(design, person_time: PersonTime, delta: np.ndarray | None = None,
     K, p = lik.K, lik.p
 
     # start at the overall event rate with beta = 0
-    total_exposure = float(lik.exposure(np.ones(lik.X.shape[0])).sum())
+    total_exposure = float(lik.exposure(np.ones((1, lik.X.shape[0])))[0].sum())
     theta = np.full(K, np.log(delta.sum() / total_exposure))
     beta = np.zeros(p)
     frozen = np.zeros(K, dtype=bool)
@@ -70,7 +70,8 @@ def pch_mle(design, person_time: PersonTime, delta: np.ndarray | None = None,
     separated = False
     max_grad = np.inf
     for iterations in range(1, MAX_ITER + 1):
-        _, g_theta, g_beta = lik.value_and_grad(theta, beta, with_value=False)
+        _, (g_theta,), (g_beta,) = lik.value_and_grad(theta[None], beta[None],
+                                                      with_value=False)
         D, C, F = lik.hessian_blocks(theta, beta)
         free = ~frozen
         Dv, Cv, gt = D[free], C[free], g_theta[free]
@@ -105,7 +106,8 @@ def pch_mle(design, person_time: PersonTime, delta: np.ndarray | None = None,
             separated = True
             break
 
-        _, g_theta, g_beta = lik.value_and_grad(theta, beta, with_value=False)
+        _, (g_theta,), (g_beta,) = lik.value_and_grad(theta[None], beta[None],
+                                                      with_value=False)
         grads = [g_beta] if p else []
         if np.any(~frozen):
             grads.append(g_theta[~frozen])

@@ -188,6 +188,25 @@ class ParameterLayout:
         return z[..., self.nu].sum(axis=-1) + rho
 
 
+class _Workspace:
+    """Buffers and flat gather indices for blocks of ``rows`` points, made
+    once per block height. Flat gathers stay fast at large n, where a
+    ``[:, ks0]`` gather does not."""
+
+    def __init__(self, ks0: np.ndarray, K: int, n: int, rows: int):
+        offset = np.arange(2 * rows)[:, None]
+        self.prefix = np.zeros((rows, K + 1))       # column 0 stays 0
+        self.prefix_tail = self.prefix[:, 1:]
+        self.at_k = ks0 + offset[:rows] * K
+        self.at_prefix = ks0 + offset[:rows] * (K + 1)
+        # one bincount sums the weight rows r (rows, n), then r * dt_last
+        self.bins = (ks0 + offset * K).ravel()
+        self.weights = np.empty((2 * rows, n))
+        self.flat_weights = self.weights.ravel()
+        self.r, self.r_dt = self.weights[:rows], self.weights[rows:]
+        self.counts_shape, self.n_bins = (2 * rows, K), 2 * rows * K
+
+
 class _PoissonLikelihood:
     """Poisson person-time log-likelihood with analytic derivatives.
 
@@ -195,6 +214,10 @@ class _PoissonLikelihood:
     factorization sum_k mu_ik = exp(x_i'beta) * Lambda0(y_i), so each
     evaluation costs one exp per subject plus O(K) interval work. Shared by
     the posterior (value + gradient) and the frequentist fit (plus Hessian).
+
+    The kernels take a block of C points, theta (C, K) and beta (C, p), and
+    give each row bitwise the result it has alone. They reuse buffers cached
+    per block height, so one instance must not be shared between threads.
     """
 
     def __init__(self, X: np.ndarray, person_time: PersonTime, delta: np.ndarray):
@@ -210,63 +233,97 @@ class _PoissonLikelihood:
                                     minlength=self.K).astype(float)
         self.Xt_delta = self.X.T @ self.delta
         self.sum_delta_log_dt = float(self.delta @ np.log(self.dt_last))
+        self._workspaces: dict[int, _Workspace] = {}
 
-    def _common(self, theta: np.ndarray, beta: np.ndarray):
+    def _workspace(self, rows: int) -> _Workspace:
+        ws = self._workspaces.get(rows)
+        if ws is None:
+            ws = self._workspaces[rows] = _Workspace(self.ks0, self.K,
+                                                     self.pt.n, rows)
+        return ws
+
+    def _common(self, theta, beta, ws: _Workspace):
+        """(exp theta, cumulative hazards, rates r)."""
         exp_t = np.exp(theta)
-        prefix = np.concatenate(([0.0], np.cumsum(exp_t)))
-        cumhaz = self.dtau * prefix[self.ks0] + exp_t[self.ks0] * self.dt_last
-        r = np.exp(self.X @ beta)
+        np.add.accumulate(exp_t, axis=1, out=ws.prefix_tail)
+        cumhaz = self.dtau * ws.prefix.take(ws.at_prefix)
+        cumhaz += exp_t.take(ws.at_k) * self.dt_last
+        r = np.exp(np.matvec(self.X, beta))
         return exp_t, cumhaz, r
 
-    def _value(self, theta, beta, cumhaz, r) -> float:
-        return float(self.delta @ theta[self.ks0] + self.Xt_delta @ beta
-                     + self.sum_delta_log_dt - r @ cumhaz)
+    def _value(self, theta, beta, cumhaz, r, ws: _Workspace) -> list[float]:
+        return [a + b + self.sum_delta_log_dt - c for a, b, c in zip(
+            np.vecdot(self.delta, theta.take(ws.at_k)).tolist(),
+            np.vecdot(self.Xt_delta, beta).tolist(),
+            np.vecdot(r, cumhaz).tolist())]
 
     def value(self, theta: np.ndarray, beta: np.ndarray) -> float:
+        """The log-likelihood at one point."""
+        theta, beta, ws = theta[None], beta[None], self._workspace(1)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, cumhaz, r = self._common(theta, beta)
-            return self._value(theta, beta, cumhaz, r)
+            _, cumhaz, r = self._common(theta, beta, ws)
+            return self._value(theta, beta, cumhaz, r, ws)[0]
 
     def exposure(self, r: np.ndarray) -> np.ndarray:
-        """Rate-weighted exposure per interval: A_k = sum_{i at risk in k} r_i dt_ik."""
-        G = np.bincount(self.ks0, weights=r, minlength=self.K)
-        Gd = np.bincount(self.ks0, weights=r * self.dt_last, minlength=self.K)
-        return self.dtau * (r.sum() - np.cumsum(G)) + Gd
+        """Rate-weighted exposure per interval of each row of ``r`` (C, n):
+        A_k = sum_{i at risk in k} r_i dt_ik, as (C, K)."""
+        rows, ws = len(r), self._workspace(len(r))
+        # sums run over this C-contiguous copy: a strided row sums in
+        # another order
+        ws.r[...] = r
+        np.multiply(ws.r, self.dt_last, out=ws.r_dt)
+        G = np.bincount(ws.bins, weights=ws.flat_weights,
+                        minlength=ws.n_bins).reshape(ws.counts_shape)
+        A = np.add.accumulate(G[:rows], axis=1, dtype=float)   # G is int if rows=0
+        np.subtract(np.add.reduce(ws.r, axis=1)[:, None], A, out=A)
+        A *= self.dtau
+        A += G[rows:]
+        return A
 
     def value_and_grad(self, theta, beta, with_value: bool = True):
-        """(log-likelihood, theta gradient, beta gradient).
+        """(log-likelihoods, theta gradients, beta gradients) of a block.
 
-        The value is None unless ``with_value``. Floating-point warnings are
-        left to the caller.
+        The log-likelihoods are a list of floats, or None unless
+        ``with_value``. Floating-point warnings are left to the caller.
         """
-        exp_t, cumhaz, r = self._common(theta, beta)
-        value = self._value(theta, beta, cumhaz, r) if with_value else None
-        g_theta = self.d_events - exp_t * self.exposure(r)
-        g_beta = self.Xt_delta - self.X.T @ (r * cumhaz)
+        ws = self._workspace(len(theta))
+        exp_t, cumhaz, r = self._common(theta, beta, ws)
+        value = self._value(theta, beta, cumhaz, r, ws) if with_value else None
+        g_theta = self.exposure(r)
+        g_theta *= exp_t
+        np.subtract(self.d_events, g_theta, out=g_theta)
+        r *= cumhaz
+        g_beta = self.Xt_delta - np.matvec(self.X.T, r)
         return value, g_theta, g_beta
 
     def hessian_blocks(self, theta, beta):
-        """Blocks of the (theta, beta) Hessian: diagonal D, cross C, dense F."""
-        exp_t, cumhaz, r = self._common(theta, beta)
-        D = -exp_t * self.exposure(r)
-        C = np.empty((self.K, self.p))
-        for j in range(self.p):
-            C[:, j] = self.exposure(self.X[:, j] * r)
-        C *= -exp_t[:, None]
+        """Blocks of the (theta, beta) Hessian at one point: diagonal D,
+        cross C, dense F."""
+        exp_t, cumhaz, r = (a[0] for a in self._common(theta[None], beta[None],
+                                                       self._workspace(1)))
+        D = -exp_t * self.exposure(r[None])[0]
+        C = self.exposure(self.X.T * r).T * -exp_t[:, None]
         F = -(self.X * (r * cumhaz)[:, None]).T @ self.X
         return D, C, F
 
 
-def _process_residuals(theta: np.ndarray, eta: float, rho: float) -> np.ndarray:
+def _process_residuals(theta: np.ndarray, eta, rho) -> np.ndarray:
+    """AR(1) residuals of theta (..., K); eta and rho are scalars or
+    (C, 1) columns for a (C, K) block."""
     e = np.empty_like(theta)
-    e[0] = theta[0] - eta
-    if len(theta) > 1:
-        e[1:] = theta[1:] - eta * (1.0 - rho) - rho * theta[:-1]
+    np.subtract(theta[..., :1], eta, out=e[..., :1])
+    rest = np.subtract(theta[..., 1:], eta * (1.0 - rho), out=e[..., 1:])
+    rest -= rho * theta[..., :-1]
     return e
 
 
 class HazardModel:
-    """Binds data, partition and prior into a differentiable log posterior."""
+    """Binds data, partition and prior into a differentiable log posterior.
+
+    Evaluates one point or a block of points, one row per chain. The
+    likelihood reuses scratch buffers, so one model must not be shared
+    between threads.
+    """
 
     def __init__(self, design: DesignMatrix, person_time: PersonTime,
                  partition: Partition, config: PriorConfig):
@@ -282,75 +339,103 @@ class HazardModel:
         self.layout = ParameterLayout(self.K, self.p, config.has_rho)
         self.dim = self.layout.dim
 
-    def log_posterior_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
+    def log_posterior_grad(self, z: np.ndarray):
         """Log posterior density (likelihood + prior + Jacobian) and its gradient.
 
-        A density that is not finite is reported as -inf.
+        ``z`` is one point (dim,), giving (float, (dim,)), or a block of
+        points (C, dim), giving ((C,), (C, dim)); row c of a block gives
+        bitwise what ``z[c]`` gives alone. A density that is not finite is
+        reported as -inf.
         """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            value, grad = self._posterior(z, with_value=True)
-        if not np.isfinite(value):
-            return -math.inf, grad
-        return float(value), grad
+            value, grad = self._posterior(z[None] if z.ndim == 1 else z,
+                                          with_value=True)
+        value = [v if math.isfinite(v) else -math.inf for v in value]
+        return (value[0], grad[0]) if z.ndim == 1 else (np.array(value), grad)
 
     def grad(self, z: np.ndarray) -> np.ndarray:
         """Gradient of the log posterior alone, for interior leapfrog steps.
 
-        Bitwise equal to the gradient of ``log_posterior_grad``. At a
-        saturated rho, where the density is -inf, the rho entry is NaN, so a
-        caller that checks only the gradient still sees the point as
-        divergent. Floating-point warnings are left to the caller.
+        Takes a point or a block like ``log_posterior_grad``, and is bitwise
+        equal to its gradient. At a saturated rho, where the density is
+        -inf, the rho entry is NaN, so a caller that checks only the
+        gradient still sees the point as divergent. Floating-point warnings
+        are left to the caller.
         """
-        return self._posterior(z, with_value=False)[1]
+        grad = self._posterior(z[None] if z.ndim == 1 else z,
+                               with_value=False)[1]
+        return grad[0] if z.ndim == 1 else grad
 
     def _posterior(self, z: np.ndarray, with_value: bool):
-        """The one posterior kernel: (density or None, gradient)."""
+        """The one posterior kernel over a (C, dim) block: (list of
+        densities or None, gradients).
+
+        Per-row scalars (eta, rho and the sums) are combined as Python
+        floats, which cost less than numpy calls on C-vectors and are the
+        same IEEE operations.
+        """
         cfg, lay = self.config, self.layout
         theta, beta, eta, zrho, w = lay.split(z)
         grad = np.empty_like(z)
-        rho = np.tanh(zrho) if cfg.has_rho else 0.0
+        etas = eta.tolist()
+        if cfg.has_rho:
+            rho = np.tanh(zrho)
+            rhos, rho_col = rho.tolist(), rho[:, None]
+        else:
+            rhos, rho_col = [0.0] * len(z), 0.0
         nu = np.exp(w)
 
         ll, g_theta, g_beta = self.likelihood.value_and_grad(theta, beta,
                                                               with_value)
-        e = _process_residuals(theta, eta, rho)
+        e = _process_residuals(theta, eta[:, None], rho_col)
         s = e / nu**2
 
-        g_theta = g_theta - s
+        g_theta -= s
         if self.K > 1:
-            g_theta[:-1] += rho * s[1:]
-        grad[lay.theta] = g_theta
-        grad[lay.beta] = g_beta - beta / cfg.sigma**2
-        grad[lay.eta] = (s[0] + (1.0 - rho) * s[1:].sum() - eta)
+            g_theta[:, :-1] += rho_col * s[:, 1:]
+        grad[:, lay.theta] = g_theta
+        g_beta -= beta / cfg.sigma**2
+        grad[:, lay.beta] = g_beta
+        grad[:, lay.eta] = [s0 + (1.0 - r) * rest - h for s0, r, rest, h in zip(
+            s[:, 0].tolist(), rhos, np.add.reduce(s[:, 1:], axis=1).tolist(),
+            etas)]
         if cfg.has_rho:
             # rho ~ scaled Beta(2,2): log(3/4) + log(1 - rho^2), plus the
             # atanh Jacobian log(1 - rho^2)
-            one_m_r2 = 1.0 - rho * rho
-            if one_m_r2 > 0:
-                d_rho = (s[1:] @ (theta[:-1] - eta)) if self.K > 1 else 0.0
-                # chain rule through rho = tanh(zrho); the prior and
-                # Jacobian terms each contribute -2 rho directly
-                grad[lay.rho] = d_rho * one_m_r2 - 4.0 * rho
-            else:
-                grad[lay.rho] = math.nan
+            one_m_r2 = [1.0 - r * r for r in rhos]
+            d_rho = (np.vecdot(s[:, 1:], theta[:, :-1] - eta[:, None]).tolist()
+                     if self.K > 1 else [0.0] * len(z))
+            # chain rule through rho = tanh(zrho); the prior and Jacobian
+            # terms each contribute -2 rho directly
+            grad[:, lay.rho] = [d * m - 4.0 * r if m > 0 else math.nan
+                                for d, m, r in zip(d_rho, one_m_r2, rhos)]
         # d/dw of process + Gamma prior + Jacobian
-        grad[lay.nu] = e * s - nu
+        g_nu = grad[:, lay.nu]
+        np.multiply(e, s, out=g_nu)
+        g_nu -= nu
         if not with_value:
             return None, grad
 
-        value = (ll
+        process_const = 0.5 * self.K * _LOG_2PI
+        beta_const = -0.5 * self.p * math.log(2.0 * math.pi * cfg.sigma**2)
+        value = []
+        for c, (lik, w_sum, es, bb, h, nu_sum) in enumerate(zip(
+                ll, np.add.reduce(w, axis=1).tolist(),
+                np.vecdot(e, s).tolist(), np.vecdot(beta, beta).tolist(),
+                etas, np.add.reduce(nu, axis=1).tolist())):
+            v = (lik
                  # AR(1)/independent process density for theta
-                 + (-w.sum() - 0.5 * self.K * _LOG_2PI - 0.5 * (e @ s))
+                 + (-w_sum - process_const - 0.5 * es)
                  # beta ~ N(0, sigma^2 I)
-                 + (-0.5 * self.p * math.log(2.0 * math.pi * cfg.sigma**2)
-                    - 0.5 * (beta @ beta) / cfg.sigma**2)
+                 + (beta_const - 0.5 * bb / cfg.sigma**2)
                  # eta ~ N(0, 1)
-                 + (-0.5 * _LOG_2PI - 0.5 * eta * eta)
+                 + (-0.5 * _LOG_2PI - 0.5 * h * h)
                  # nu_k ~ Gamma(1, 1), plus the log-nu Jacobian
-                 + (-nu.sum() + w.sum()))
-        if cfg.has_rho:
-            value = (value + (math.log(0.75) + 2.0 * math.log(one_m_r2))
-                     if one_m_r2 > 0 else -math.inf)
+                 + (-nu_sum + w_sum))
+            if cfg.has_rho:
+                m = one_m_r2[c]
+                v = v + (math.log(0.75) + 2.0 * math.log(m)) if m > 0 else -math.inf
+            value.append(v)
         return value, grad
 
 
@@ -420,9 +505,10 @@ def cum_base_hazard(theta: np.ndarray, partition: Partition, t) -> np.ndarray | 
     """
     theta = np.asarray(theta, dtype=float)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0) or np.any(t_arr > partition.max_time):
-        bad = t_arr[(t_arr < 0) | (t_arr > partition.max_time)][0]
-        raise DataError(f"time {float(bad)} outside [0, {partition.max_time}]")
+    inside = (t_arr >= 0) & (t_arr <= partition.max_time)     # False for NaN
+    if not inside.all():
+        raise DataError(f"time {float(t_arr[~inside][0])} outside "
+                        f"[0, {partition.max_time}]")
     knots = np.concatenate(([0.0], partition.dtau * np.cumsum(theta)))
     out = np.interp(t_arr, partition.endpoints, knots)
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out

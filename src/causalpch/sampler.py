@@ -1,27 +1,31 @@
 """Static-length Hamiltonian Monte Carlo over the hazard-model posterior.
 
-One chain = velocity-Verlet leapfrog trajectories of fixed length with an
-identity mass matrix and a Metropolis accept step on the full Hamiltonian.
-Step size is tuned during warmup by Nesterov dual averaging (gamma=0.05,
-t0=10, kappa=0.75) toward a target acceptance rate, then frozen at the
-averaged iterate. No mass-matrix adaptation, no NUTS.
+All chains of a run move in lockstep as one (C, dim) block: every
+iteration draws each chain's momentum, integrates the whole block through
+one velocity-Verlet trajectory of fixed length (identity mass matrix, a
+step size per chain) and applies a Metropolis test per chain on the full
+Hamiltonian. Each chain tunes its own step size during warmup by Nesterov
+dual averaging (gamma=0.05, t0=10, kappa=0.75) toward a target acceptance
+rate, then freezes it at the averaged iterate. No mass-matrix adaptation,
+no NUTS.
 
-The chain's target is any object with ``dim``, ``log_posterior_grad(z) ->
-(log density, gradient)`` and ``grad(z) -> gradient``; ``HazardModel`` is
-one. Interior leapfrog steps call ``grad`` alone, so a trajectory evaluates
-the log density once, at its end point, for the Metropolis test. ``grad``
-must be non-finite wherever the density is -inf, so the draws equal those
-of the tests' reference integrator, which evaluates it at every step.
+The target is any object with ``dim``, ``log_posterior_grad(z) ->
+(log density, gradient)`` and ``grad(z) -> gradient`` that take a (C, dim)
+block and give each row what it gives alone; ``HazardModel`` is one.
+Interior leapfrog steps call ``grad`` alone, so a trajectory evaluates the
+log density once, at its end point, for the Metropolis test. ``grad`` must
+be non-finite wherever the density is -inf, so the draws equal those of the
+tests' reference integrator, which evaluates it at every step.
 
 Randomness comes from numpy's counter-based Philox generator. Chain c of a
-run with seed s uses ``SeedSequence(s, spawn_key=(c,))``, so multi-chain
-results are reproducible bit-for-bit and independent of execution order.
+run with seed s uses ``SeedSequence(s, spawn_key=(c,))`` and calls it in
+the order a lone chain would, so chain c's draws are bit-for-bit those of
+running it alone and do not depend on how many chains run beside it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,7 +64,8 @@ class SamplerConfig:
     seed: int = 0
     leapfrog_steps: int = 32
     target_accept: float = 0.8
-    threads: int | None = 1         # worker threads for chains; None = chains
+    # accepted and checked, but without effect: the chains run in lockstep
+    threads: int | None = 1
 
     def __post_init__(self):
         if self.warmup < 1 or self.post_iter < 1:
@@ -80,37 +85,39 @@ class SamplerConfig:
 class LeapfrogResult(NamedTuple):
     position: np.ndarray
     momentum: np.ndarray
-    value: float            # log posterior at the final position
+    value: np.ndarray       # log posterior at the final position, -inf if diverged
     grad: np.ndarray
-    diverged: bool          # a non-finite position, gradient or density
+    diverged: np.ndarray    # a non-finite position, gradient or density
 
 
 def leapfrog(target, q: np.ndarray, p: np.ndarray, grad: np.ndarray,
-             step_size: float, n_steps: int) -> LeapfrogResult:
+             step_size, n_steps: int) -> LeapfrogResult:
     """Integrate Hamilton's equations for ``n_steps`` velocity-Verlet steps.
 
-    ``grad`` is the log density's gradient at ``q``; the mass matrix is the
-    identity. Interior steps evaluate ``target.grad``, the last one
-    ``target.log_posterior_grad``. Reversible: negating the final momentum
-    and integrating again returns to the start up to floating-point error.
+    ``q``, ``p`` and ``grad`` (the log density's gradient at ``q``) are one
+    point or a (C, dim) block; ``step_size`` is a scalar or a (C, 1) column.
+    The mass matrix is the identity. Interior steps evaluate ``target.grad``,
+    the last one ``target.log_posterior_grad``. Finiteness is checked once,
+    at the end: a non-finite position stays non-finite under later steps,
+    and a non-finite gradient makes the momentum and then the next position
+    non-finite. Reversible: negating the final momentum and integrating
+    again returns to the start up to floating-point error.
     """
+    half_step = 0.5 * step_size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p = p + 0.5 * step_size * grad
-        for step in range(n_steps):
-            q = q + step_size * p
-            if not np.isfinite(q).all():
-                break
-            if step < n_steps - 1:
-                grad = target.grad(q)
-                if not np.isfinite(grad).all():
-                    break
-                p = p + step_size * grad
-            else:
-                value, grad = target.log_posterior_grad(q)
-                if np.isfinite(value) and np.isfinite(grad).all():
-                    return LeapfrogResult(q, p + 0.5 * step_size * grad,
-                                          value, grad, False)
-    return LeapfrogResult(q, p, -math.inf, grad, True)
+        p = p + half_step * grad
+        q = q.copy()
+        buf = np.empty_like(q)
+        for _ in range(n_steps - 1):
+            q += np.multiply(step_size, p, out=buf)
+            p += np.multiply(step_size, target.grad(q), out=buf)
+        q += np.multiply(step_size, p, out=buf)
+        value, grad = target.log_posterior_grad(q)
+        p += np.multiply(half_step, grad, out=buf)
+        diverged = ~(np.isfinite(value) & np.isfinite(q).all(axis=-1)
+                     & np.isfinite(grad).all(axis=-1))
+    return LeapfrogResult(q, p, np.where(diverged, -math.inf, value), grad,
+                          diverged)
 
 
 class DualAveraging:
@@ -138,27 +145,30 @@ class DualAveraging:
         return math.exp(self.log_step_bar)
 
 
-def _metropolis(h0: float, res: LeapfrogResult) -> tuple[float, bool]:
-    """(acceptance probability, diverged) of a trajectory from energy ``h0``:
-    it diverged if it met a non-finite point or ends at a non-finite energy
-    or one more than DIVERGENCE_ENERGY above ``h0``."""
-    if res.diverged:
-        return 0.0, True
+def _metropolis(h0: np.ndarray, res: LeapfrogResult) -> tuple[list, list]:
+    """Per row of a trajectory block from energies ``h0``: (acceptance
+    probabilities, diverged flags). A row diverged if it met a non-finite
+    point or ends at a non-finite energy or one more than DIVERGENCE_ENERGY
+    above its ``h0``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        h1 = -res.value + 0.5 * float(res.momentum @ res.momentum)
-    if not np.isfinite(h1) or h1 - h0 > DIVERGENCE_ENERGY:
-        return 0.0, True
-    return math.exp(min(0.0, h0 - h1)), False
+        h1 = -res.value + 0.5 * np.vecdot(res.momentum, res.momentum)
+        diverged = (res.diverged | ~np.isfinite(h1)
+                    | (h1 - h0 > DIVERGENCE_ENERGY)).tolist()
+    # math.exp on Python floats, not np.exp: the two differ in the last bit
+    accept = [0.0 if d else math.exp(min(0.0, a - b))
+              for d, a, b in zip(diverged, h0.tolist(), h1.tolist())]
+    return accept, diverged
 
 
-def _find_initial_step(target, q: np.ndarray, value: float, grad: np.ndarray,
-                       rng) -> float:
-    """Double/halve a trial step until one leapfrog step lands in (0.25, 0.95)."""
+def _find_initial_step(target, q: np.ndarray, value: np.ndarray,
+                       grad: np.ndarray, rng) -> float:
+    """Double/halve a trial step until one leapfrog step of the one-row
+    block ``q`` lands in (0.25, 0.95)."""
     step = 1.0
-    p = rng.standard_normal(len(q))
-    h0 = -value + 0.5 * float(p @ p)
+    p = rng.standard_normal(q.shape)
+    h0 = -value + 0.5 * np.vecdot(p, p)
     for _ in range(100):
-        accept, _ = _metropolis(h0, leapfrog(target, q, p, grad, step, 1))
+        (accept,), _ = _metropolis(h0, leapfrog(target, q, p, grad, step, 1))
         if accept > 0.95:
             step *= 2.0
         elif accept < 0.25:
@@ -177,41 +187,49 @@ class ChainResult:
 
 
 def run_hmc_chain(target, config: SamplerConfig,
-                  rng: np.random.Generator) -> ChainResult:
-    """Run warmup + retained iterations of static HMC on one target."""
-    dim = target.dim
-    for _ in range(MAX_INIT_RETRIES):
-        q = rng.uniform(-INIT_RADIUS, INIT_RADIUS, dim)
-        value, grad = target.log_posterior_grad(q)
-        if np.isfinite(value) and np.isfinite(grad).all():
-            break
-    else:
-        raise NumericalError(
-            f"no finite log posterior after {MAX_INIT_RETRIES} initialization draws")
-
-    step = _find_initial_step(target, q, value, grad, rng)
-    averaging = DualAveraging(step, target=config.target_accept)
-
-    draws = np.empty((config.post_iter, dim))
-    accept_sum = 0.0
-    divergences = 0
-    for it in range(config.warmup + config.post_iter):
-        p = rng.standard_normal(dim)
-        h0 = -value + 0.5 * float(p @ p)
-        res = leapfrog(target, q, p, grad, step, config.leapfrog_steps)
-        accept_prob, diverged = _metropolis(h0, res)
-        if not diverged and rng.random() < accept_prob:
-            q, value, grad = res.position, res.value, res.grad
-        if it < config.warmup:
-            step = averaging.update(accept_prob)
-            if it == config.warmup - 1:
-                step = averaging.adapted_step()
+                  rngs: list[np.random.Generator]) -> list[ChainResult]:
+    """Run warmup + retained iterations of static HMC, one chain per
+    generator, all chains advancing in lockstep as one (C, dim) block."""
+    dim, n_chains = target.dim, len(rngs)
+    q, value = np.empty((n_chains, dim)), np.empty(n_chains)
+    grad, step = np.empty((n_chains, dim)), np.empty((n_chains, 1))
+    for c, rng in enumerate(rngs):
+        for _ in range(MAX_INIT_RETRIES):
+            row = rng.uniform(-INIT_RADIUS, INIT_RADIUS, (1, dim))
+            row_value, row_grad = target.log_posterior_grad(row)
+            if np.isfinite(row_value).all() and np.isfinite(row_grad).all():
+                break
         else:
-            draws[it - config.warmup] = q
-            accept_sum += accept_prob
-            divergences += diverged
-    return ChainResult(draws=draws, accept_rate=accept_sum / config.post_iter,
-                       divergences=divergences, step_size=step)
+            raise NumericalError(f"no finite log posterior after "
+                                 f"{MAX_INIT_RETRIES} initialization draws")
+        q[c], value[c], grad[c] = row[0], row_value[0], row_grad[0]
+        step[c] = _find_initial_step(target, row, row_value, row_grad, rng)
+    averaging = [DualAveraging(s, target=config.target_accept)
+                 for s in step[:, 0].tolist()]
+
+    draws = np.empty((n_chains, config.post_iter, dim))
+    accept_sum, divergences = [0.0] * n_chains, [0] * n_chains
+    for it in range(config.warmup + config.post_iter):
+        p = np.stack([rng.standard_normal(dim) for rng in rngs])
+        h0 = -value + 0.5 * np.vecdot(p, p)
+        res = leapfrog(target, q, p, grad, step, config.leapfrog_steps)
+        accept, diverged = _metropolis(h0, res)
+        for c, rng in enumerate(rngs):
+            if not diverged[c] and rng.random() < accept[c]:
+                q[c], value[c], grad[c] = res.position[c], res.value[c], res.grad[c]
+            if it < config.warmup:
+                step[c] = averaging[c].update(accept[c])
+                if it == config.warmup - 1:
+                    step[c] = averaging[c].adapted_step()
+            else:
+                accept_sum[c] += accept[c]
+                divergences[c] += diverged[c]
+        if it >= config.warmup:
+            draws[:, it - config.warmup] = q
+    return [ChainResult(draws=draws[c],
+                        accept_rate=accept_sum[c] / config.post_iter,
+                        divergences=divergences[c], step_size=float(step[c, 0]))
+            for c in range(n_chains)]
 
 
 @dataclass
@@ -309,18 +327,11 @@ def sample(data: Dataset, formula_spec: FormulaSpec, prior_config: PriorConfig,
     person_time = expand_person_time(design.y, partition)
     model = HazardModel(design, person_time, partition, prior_config)
 
-    def one_chain(c: int) -> ChainResult:
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(sampler_config.seed, spawn_key=(c,))))
-        return run_hmc_chain(model, sampler_config, rng)
-
     n_chains = sampler_config.chains
-    workers = sampler_config.threads or n_chains
-    if workers > 1 and n_chains > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_chain, range(n_chains)))
-    else:
-        results = [one_chain(c) for c in range(n_chains)]
+    results = run_hmc_chain(model, sampler_config, [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            sampler_config.seed, spawn_key=(c,))))
+        for c in range(n_chains)])
 
     for c, res in enumerate(results):
         rate = res.divergences / sampler_config.post_iter

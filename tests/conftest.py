@@ -53,11 +53,21 @@ def random_survival_data(rng, n=40, p=2, max_time=10.0):
 
 
 class Target:
-    """A sampler target built from one ``z -> (log density, gradient)``."""
+    """A sampler target built from one ``z -> (log density, gradient)``.
+
+    A (C, dim) block is evaluated row by row, as the sampler's lockstep
+    chains require; a 1-D point is passed through.
+    """
 
     def __init__(self, value_grad, dim):
-        self.log_posterior_grad = value_grad
+        self.value_grad = value_grad
         self.dim = dim
+
+    def log_posterior_grad(self, z):
+        if z.ndim == 1:
+            return self.value_grad(z)
+        rows = [self.value_grad(row) for row in z]
+        return np.array([v for v, _ in rows]), np.array([g for _, g in rows])
 
     def grad(self, z):
         return self.log_posterior_grad(z)[1]

@@ -234,7 +234,7 @@ def test_criterion_08_sampler_correctness():
     cfg = SamplerConfig(warmup=500, post_iter=4000, seed=0, leapfrog_steps=4,
                         target_accept=0.7)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(80)))
-    res = run_hmc_chain(Target(gaussian, 2), cfg, rng)
+    [res] = run_hmc_chain(Target(gaussian, 2), cfg, [rng])
     table = summarize(res.draws)
     moment_ok = True
     detail = []
@@ -258,7 +258,7 @@ def test_criterion_08_sampler_correctness():
                            leapfrog_steps=4, target_accept=0.7)
     for seed in range(1, 6):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        chain = run_hmc_chain(Target(std_gauss, 2), ks_cfg, rng)
+        [chain] = run_hmc_chain(Target(std_gauss, 2), ks_cfg, [rng])
         tau = max(integrated_autocorr_time(chain.draws[:, j]) for j in range(2))
         thinned = chain.draws[::max(1, int(np.ceil(5 * tau)))]
         for j in range(2):

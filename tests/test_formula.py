@@ -128,6 +128,14 @@ class TestBuildDesign:
         with pytest.raises(DataError, match="unknown column"):
             build_design(toy_dataset(), parse_formula("Surv(y, delta) ~ nope"))
 
+    @pytest.mark.parametrize("formula", ["Surv(y, delta) ~ A*x",
+                                         "Surv(y, delta) ~ A + x"])
+    def test_column_length_mismatch(self, formula):
+        d = toy_dataset()
+        d.columns["x"] = np.array([1.5, 2.5])
+        with pytest.raises(DataError, match=r"'x' has shape \(2,\)"):
+            build_design(d, parse_formula(formula))
+
     def test_veteran_adjusted_shape(self, veteran):
         spec = parse_formula(
             "Surv(y, delta) ~ A + age + karno + celltypesquamous"

@@ -72,9 +72,28 @@ class TestPchMle:
         X, y, delta, part, pt = occupied_instance(rng, n=30, K=3, p=2)
         fit = pch_mle(X, pt, delta, part)
         lik = _PoissonLikelihood(X, pt, delta)
-        _, g_theta, g_beta = lik.value_and_grad(np.log(fit.theta_hat),
-                                                fit.beta_hat)
-        assert np.abs(np.concatenate([g_theta, g_beta])).max() < 1e-8
+        _, g_theta, g_beta = lik.value_and_grad(np.log(fit.theta_hat)[None],
+                                                fit.beta_hat[None])
+        assert np.abs(np.concatenate([g_theta[0], g_beta[0]])).max() < 1e-8
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_hessian_matches_finite_differences(self, p):
+        rng = np.random.default_rng(3)
+        X, y, delta, part, pt = occupied_instance(rng, n=20, K=3, p=p)
+        lik = _PoissonLikelihood(X, pt, delta)
+        theta, beta = rng.uniform(-1.0, 0.0, 3), rng.uniform(-0.5, 0.5, p)
+        D, C, F = lik.hessian_blocks(theta, beta)
+
+        def grad(z):
+            _, (g_theta,), (g_beta,) = lik.value_and_grad(
+                z[None, :3], z[None, 3:], with_value=False)
+            return np.concatenate([g_theta, g_beta])
+
+        z, h = np.concatenate([theta, beta]), 1e-6
+        fd = np.column_stack([(grad(z + h * e) - grad(z - h * e)) / (2 * h)
+                              for e in np.eye(3 + p)])
+        exact = np.block([[np.diag(D), C], [C.T, F]])
+        assert np.allclose(fd, exact, rtol=1e-6, atol=1e-6)
 
     def test_covariate_shift_invariance(self):
         rng = np.random.default_rng(2)

@@ -472,6 +472,32 @@ class TestGradOnly:
         assert np.isfinite(np.delete(model.grad(saturated), rho_at)).all()
 
 
+class TestBlockKernel:
+    @pytest.mark.parametrize("kind", ["independent", "ar1"])
+    @pytest.mark.parametrize("K", [1, 5])
+    @pytest.mark.parametrize("C", [1, 2, 3])
+    def test_rows_equal_single_calls(self, kind, K, C):
+        rng = np.random.default_rng(19)
+        model, _ = build_model(rng, n=30, K=K, kind=kind)
+        saturated = rng.uniform(-1.0, 1.0, model.dim)
+        if kind == "ar1":
+            saturated[model.layout.rho] = 40.0     # tanh(40) == 1.0
+        points = [rng.uniform(-2.0, 2.0, model.dim), saturated,
+                  np.full(model.dim, 200.0)]          # exp overflows
+        # every special point takes each row position in some block
+        for shift in range(3):
+            block = np.array([points[(shift + c) % 3] for c in range(C)])
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                values, grads = model.log_posterior_grad(block)
+                only = model.grad(block)
+                for c in range(C):
+                    value, grad = model.log_posterior_grad(block[c])
+                    assert values[c] == value
+                    assert grads[c].tobytes() == grad.tobytes()
+                    assert only[c].tobytes() == grad.tobytes()
+        assert values.shape == (C,) and grads.shape == (C, model.dim)
+
+
 class TestCumBaseHazard:
     def test_constant_hazard(self):
         part = make_partition(10.0, 5)
@@ -514,6 +540,11 @@ class TestCumBaseHazard:
         grid = np.linspace(0, 5, 101)
         vals = cum_base_hazard(theta, part, grid)
         assert np.all(np.diff(vals) >= -1e-14)
+
+    def test_nan_time_rejected(self):
+        part = make_partition(10.0, 2)
+        with pytest.raises(DataError, match="nan"):
+            cum_base_hazard(np.zeros(2), part, np.array([1.0, np.nan]))
 
     def test_beyond_horizon(self):
         part = make_partition(5.0, 4)

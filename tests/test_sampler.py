@@ -95,8 +95,10 @@ class TestLeapfrog:
 
 
 def trajectory(value=0.0, momentum=(0.0,), diverged=False):
-    return LeapfrogResult(np.zeros(1), np.array(momentum, dtype=float),
-                          value, np.zeros(1), diverged)
+    """A one-row trajectory block."""
+    return LeapfrogResult(np.zeros((1, 1)), np.array([momentum], dtype=float),
+                          np.array([value]), np.zeros((1, 1)),
+                          np.array([diverged]))
 
 
 class TestMetropolis:
@@ -107,13 +109,14 @@ class TestMetropolis:
         trajectory(-(DIVERGENCE_ENERGY + 1.0)),
     ], ids=["diverged", "nan_value", "infinite_momentum", "energy_rise"])
     def test_divergent(self, res):
-        assert _metropolis(0.0, res) == (0.0, True)
+        assert _metropolis(np.zeros(1), res) == ([0.0], [True])
 
     def test_acceptance_probability(self):
-        assert _metropolis(0.0, trajectory(-2.0)) == (math.exp(-2.0), False)
-        assert _metropolis(0.0, trajectory(3.0)) == (1.0, False)
+        h0 = np.zeros(1)
+        assert _metropolis(h0, trajectory(-2.0)) == ([math.exp(-2.0)], [False])
+        assert _metropolis(h0, trajectory(3.0)) == ([1.0], [False])
         # a rise of exactly DIVERGENCE_ENERGY is rejected but not divergent
-        assert _metropolis(0.0, trajectory(-DIVERGENCE_ENERGY)) == (0.0, False)
+        assert _metropolis(h0, trajectory(-DIVERGENCE_ENERGY)) == ([0.0], [False])
 
 
 class TestDualAveraging:
@@ -137,7 +140,7 @@ class TestHmcChain:
         cfg = SamplerConfig(warmup=500, post_iter=4000, seed=0,
                             leapfrog_steps=8, target_accept=0.8)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
-        res = run_hmc_chain(gaussian_target([1.0, 4.0]), cfg, rng)
+        [res] = run_hmc_chain(gaussian_target([1.0, 4.0]), cfg, [rng])
         table = summarize(res.draws)
         for j, true_sd in enumerate((1.0, 2.0)):
             mcse = table.ts_se[j]
@@ -156,7 +159,7 @@ class TestHmcChain:
         for seed in (1, 2):
             rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(seed)))
-            res = run_hmc_chain(gaussian_target([1.0, 1.0]), cfg, rng)
+            [res] = run_hmc_chain(gaussian_target([1.0, 1.0]), cfg, [rng])
             tau = max(integrated_autocorr_time(res.draws[:, j])
                       for j in range(2))
             thinned = res.draws[::max(1, int(np.ceil(5 * tau)))]
@@ -171,11 +174,19 @@ class TestHmcChain:
         cfg = SamplerConfig(warmup=10, post_iter=10)
         rng = np.random.default_rng(0)
         with pytest.raises(NumericalError, match="initialization"):
-            run_hmc_chain(Target(hopeless, 3), cfg, rng)
+            run_hmc_chain(Target(hopeless, 3), cfg, [rng])
 
 
 def reference_leapfrog(target, q, p, grad, step_size, n_steps):
-    """Density and gradient at every step; stop at the first non-finite one."""
+    """Row by row: the density and gradient of the row alone at every step,
+    stopping at the first non-finite one."""
+    step_sizes = np.broadcast_to(step_size, (len(q), 1))[:, 0]
+    rows = [reference_row(target, *row, n_steps)
+            for row in zip(q, p, grad, step_sizes)]
+    return LeapfrogResult(*(np.array(field) for field in zip(*rows)))
+
+
+def reference_row(target, q, p, grad, step_size, n_steps):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p = p + 0.5 * step_size * grad
         for step in range(n_steps):
@@ -189,13 +200,21 @@ def reference_leapfrog(target, q, p, grad, step_size, n_steps):
     return LeapfrogResult(q, p, value, grad, False)
 
 
+def assert_same_chain(a, b):
+    assert a.draws.tobytes() == b.draws.tobytes()
+    assert a.accept_rate == b.accept_rate
+    assert a.step_size == b.step_size
+    assert a.divergences == b.divergences
+
+
 class TestGradientOnlySteps:
     @pytest.mark.parametrize("target, seed, diverging",
                              [(0.9, 1, False), (0.3, 2, True)])
     def test_chain_matches_reference_integrator(self, monkeypatch, target,
                                                 seed, diverging):
         # at target 0.3 the step is large enough that trajectories blow up,
-        # some of them at a saturated rho, where only the density is -inf
+        # some of them at a saturated rho, where only the density is -inf;
+        # the lockstep block of three chains must equal each chain run alone
         X, y, delta = random_survival_data(np.random.default_rng(0), n=30)
         part = make_partition(float(y.max()), 5)
         design = DesignMatrix(X=X, columns=("x0", "x1"),
@@ -206,18 +225,19 @@ class TestGradientOnlySteps:
         cfg = SamplerConfig(warmup=50, post_iter=50, leapfrog_steps=8,
                             target_accept=target)
 
-        def run():
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(seed)))
-            return run_hmc_chain(model, cfg, rng)
+        def run(*seeds):
+            return run_hmc_chain(model, cfg, [
+                np.random.Generator(np.random.Philox(np.random.SeedSequence(s)))
+                for s in seeds])
 
-        new = run()
+        seeds = (seed, seed + 10, seed + 20)
+        lockstep = run(*seeds)
+        alone = [run(s)[0] for s in seeds]
         monkeypatch.setattr(sampler, "leapfrog", reference_leapfrog)
-        ref = run()
-        assert new.draws.tobytes() == ref.draws.tobytes()
-        assert new.accept_rate == ref.accept_rate
-        assert new.step_size == ref.step_size
-        assert new.divergences == ref.divergences
+        [ref] = run(seed)
+        assert_same_chain(lockstep[0], ref)
+        for a, b in zip(lockstep, alone):
+            assert_same_chain(a, b)
         assert (ref.divergences > 0) == diverging
 
 
@@ -256,18 +276,26 @@ class TestSample:
         assert np.array_equal(seq.draws, par.draws)
         assert seq.chain_ids.tolist() == par.chain_ids.tolist()
 
-    def test_chains_run_serially_by_default(self, monkeypatch):
-        import causalpch.sampler as sampler_module
+    def test_chains_run_in_lockstep(self, monkeypatch):
+        # one runner call moves every chain, and chain c's draws depend on
+        # the seed and c alone, not on how many chains run beside it
+        calls = []
+        run = sampler.run_hmc_chain
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the default config started a thread pool")
+        def counting_run(target, config, rngs):
+            calls.append(len(rngs))
+            return run(target, config, rngs)
 
-        monkeypatch.setattr(sampler_module, "ThreadPoolExecutor", no_pool)
-        post = sample(tiny_dataset(), parse_formula("Surv(y, delta) ~ A"),
-                      PriorConfig(model_kind="independent", K=3),
-                      SamplerConfig(warmup=20, post_iter=10, seed=3, chains=2,
-                                    leapfrog_steps=4))
-        assert post.n_chains == 2
+        monkeypatch.setattr(sampler, "run_hmc_chain", counting_run)
+        data, spec = tiny_dataset(), parse_formula("Surv(y, delta) ~ A")
+        prior = PriorConfig(model_kind="independent", K=3)
+        two, three = (sample(data, spec, prior,
+                             SamplerConfig(warmup=50, post_iter=30, seed=3,
+                                           chains=c, leapfrog_steps=6))
+                      for c in (2, 3))
+        assert calls == [2, 3]
+        assert three.draws[:60].tobytes() == two.draws.tobytes()
+        assert three.step_sizes[:2] == two.step_sizes
 
     def test_chain_independence(self):
         data = tiny_dataset()
