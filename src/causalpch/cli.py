@@ -18,6 +18,8 @@ draws.csv stores constrained parameters per retained draw: theta_1..theta_K
 only), nu_1..nu_K, then chain and iter labels. A meta.json whose design,
 terms or partition disagree with each other or with draws.csv exits 2.
 The fit's time and event columns are the ones its formula's Surv() names.
+fit prints a ``warning:`` line on stderr for each chain whose adapted step
+size is below 1/FROZEN_STEP_RATIO of the largest chain's.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 _BOOKKEEPING = ("chain", "iter")
+
+# fit warns for a chain whose adapted step is this many times below the
+# largest chain's: the box start can leave a chain at a step of 1e-9 or less,
+# and its draws then barely move
+FROZEN_STEP_RATIO = 10
 
 # SamplerConfig fields that meta.json records; threads does not change the draws
 _RECORDED = tuple(f.name for f in fields(SamplerConfig) if f.name != "threads")
@@ -238,6 +245,13 @@ def cmd_fit(args) -> int:
                                         posterior.divergences), start=1):
         print(f"chain {c}: accept rate {rate:.3f}, divergences {div}, "
               f"step size {posterior.step_sizes[c - 1]:.3g}")
+    largest = max(posterior.step_sizes)
+    for c, step in enumerate(posterior.step_sizes, start=1):
+        if step < largest / FROZEN_STEP_RATIO:
+            print(f"warning: chain {c}: adapted step size {step:.3g} is below "
+                  f"1/{FROZEN_STEP_RATIO} of the largest chain's "
+                  f"({largest:.3g}); the chain may be frozen, check its draws",
+                  file=sys.stderr)
     return EXIT_OK
 
 

@@ -10,11 +10,13 @@ as ``np.quantile(method="linear")`` does, without its import of numpy.ma.
 ``psrf`` is the Gelman-Rubin potential scale reduction factor with the
 Brooks-Gelman degrees-of-freedom correction and an upper confidence limit
 from the 97.5% quantile of the between/within variance ratio's sampling
-distribution.
+distribution, an F(C - 1, w_df) quantile that ``_f_quantile`` computes in
+numpy: the module needs nothing beyond numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,12 +158,121 @@ def summarize(draws, probs=(0.025, 0.975), names=None) -> SummaryTable:
                         n_draws=n_total, n_chains=len(chains))
 
 
-def psrf(chains, names=None) -> PsrfReport:
-    """Gelman-Rubin diagnostic over C >= 2 equal-length chains."""
-    # the F quantile scipy.stats.f.ppf computes, without importing
-    # scipy.stats, which costs most of a run's import time and memory
-    from scipy.special import fdtri
+# Stirling's series for log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2, in
+# powers 1/x, 1/x^3, ..., 1/x^11; from x = 10 on the next term is below 1e-15
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_STIRLING_FROM = 10.0
 
+
+def _stirling_tail(x: np.ndarray) -> np.ndarray:
+    r = (1.0 / x) ** 2
+    acc = 0.0
+    for coef in reversed(_STIRLING):
+        acc = acc * r + coef
+    return acc / x
+
+
+def _log_beta(a: float, b: np.ndarray) -> np.ndarray:
+    """log B(a, b) for a scalar a > 0 and an array b > 0.
+
+    Where b >= 10, lgamma(b) - lgamma(a + b) is written out from Stirling's
+    series so that its large terms cancel on paper, not in floating point:
+    the plain difference is off by 3e-8 at a = 1/2, b = 5e7.
+    """
+    out = np.empty_like(b)
+    big = b >= _STIRLING_FROM
+    bb = b[big]
+    out[big] = (math.lgamma(a) - (bb - 0.5) * np.log1p(a / bb)
+                - a * np.log(a + bb) + a
+                + _stirling_tail(bb) - _stirling_tail(a + bb))
+    out[~big] = [math.lgamma(a) + math.lgamma(v) - math.lgamma(a + v)
+                 for v in b[~big].tolist()]
+    return out
+
+
+def _log_ibeta(v, alpha, beta, log_norm):
+    """log I_s(alpha, beta) at s = exp(v) <= 1/2, and its derivative in v.
+
+    I_s = s^alpha (1 - s)^beta / (alpha B) * 2F1(alpha + beta, 1; alpha + 1; s)
+    (Abramowitz and Stegun 26.5.23), whose series has positive terms with
+    ratios tending to s, so no digits cancel; ``log_norm`` is
+    log(alpha B(alpha, beta)). Terms are summed 64 at a time until the last
+    is below 1e-17 of the sum.
+    """
+    s = np.exp(v)
+    total = np.ones_like(s)
+    term = np.ones_like(s)
+    n = 0.0
+    while np.any(term > 1e-17 * total):
+        k = np.arange(n + 1.0, n + 65.0)[:, None]
+        terms = term * np.cumprod(s * (alpha + beta + k - 1.0) / (alpha + k),
+                                  axis=0)
+        total += terms.sum(axis=0)
+        term = terms[-1]
+        n += 64.0
+    log_i = alpha * v + beta * np.log1p(-s) - log_norm + np.log(total)
+    return log_i, alpha / ((1.0 - s) * total)
+
+
+def _f_quantile(p: float, d1: float, d2) -> np.ndarray:
+    """The p-quantile of F(d1, d2) for each d2; NaN where d2 is not finite
+    and positive, inf where it overflows.
+
+    With a = d1/2 and b = d2/2, F = (b/a) y/(1 - y) for y ~ Beta(a, b).
+    The root of I_y(a, b) = p is found in log y when it lies at or below
+    1/2, else as the root of I_u(b, a) = 1 - p in log u, u = 1 - y, so the
+    series always runs at s <= 1/2. Newton steps on the log distribution
+    function fall back to bisection when they leave the bracket. The start
+    is the top of the bracket: 1/2, or for y the point (a + sqrt(a/(1-p)))
+    / (a + b), which Cantelli's inequality puts above the root (the mean
+    of (a + b) y is a, its variance below a).
+    """
+    d2 = np.asarray(d2, dtype=float)
+    out = np.full(d2.shape, np.nan)
+    ok = np.isfinite(d2) & (d2 > 0)
+    a, b = 0.5 * d1, 0.5 * d2[ok]
+    log_b = _log_beta(a, b)
+    log_half = math.log(0.5)
+    at_half, _ = _log_ibeta(np.full_like(b, log_half), b, np.full_like(b, a),
+                            log_b + np.log(b))
+    flip = at_half > math.log1p(-p)       # the root y lies above 1/2
+    alpha, beta = np.where(flip, b, a), np.where(flip, a, b)
+    target = np.where(flip, math.log1p(-p), math.log(p))
+    log_norm = log_b + np.log(alpha)
+    reach = a + math.sqrt(a / (1.0 - p))
+    hi = np.where(flip, log_half, np.log(np.minimum(0.5, reach / (a + b))))
+    lo = np.full_like(b, -np.inf)
+    v = hi.copy()
+    active = np.ones(b.shape, dtype=bool)
+    for _ in range(100):
+        g, slope = _log_ibeta(v, alpha, beta, log_norm)
+        g -= target
+        hi = np.where(g > 0, v, hi)
+        lo = np.where(g < 0, v, lo)
+        newton = g / slope
+        step = v - newton
+        done = np.abs(newton) <= 1e-12
+        step = np.where(done | ((step > lo) & (step < hi)), step,
+                        0.5 * (lo + hi))
+        v = np.where(active, step, v)
+        active &= ~done
+        if not active.any():
+            break
+    s = np.exp(v)
+    with np.errstate(over="ignore"):
+        out[ok] = np.where(flip, np.exp(np.log(b / a) - v + np.log1p(-s)),
+                           b / a * (s / (1.0 - s)))
+    return out
+
+
+def psrf(chains, names=None) -> PsrfReport:
+    """Gelman-Rubin diagnostic over C >= 2 equal-length chains.
+
+    The upper limit takes the 97.5% quantile of F(C - 1, w_df) from
+    ``_f_quantile``; it is NaN for a parameter whose within-chain degrees
+    of freedom w_df are not finite, as when every chain has the same
+    variance.
+    """
     chain_list = _as_chain_list(chains)
     if len(chain_list) < 2:
         raise DataError("psrf needs at least 2 chains")
@@ -204,7 +315,7 @@ def psrf(chains, names=None) -> PsrfReport:
         r2_fixed = (m - 1.0) / m
         r2_random = (1.0 + 1.0 / c) / m * b / w
         w_df = 2.0 * w**2 / var_w
-        fq = fdtri(c - 1, w_df, 0.975)
+        fq = _f_quantile(0.975, c - 1, w_df)
         point = np.sqrt(df_adj * (r2_fixed + r2_random))
         upper = np.sqrt(df_adj * (r2_fixed + fq * r2_random))
     return PsrfReport(names=names, point=point, upper=upper)

@@ -11,7 +11,7 @@ from causalpch.cli import (_RECORDED, _split_chains, build_parser, main,
                            read_numeric_csv)
 from causalpch.dataset import check_response
 
-from conftest import VETERAN_CSV, run_fresh_python
+from conftest import ADJUSTED_FORMULA, VETERAN_CSV, run_fresh_python
 
 
 @pytest.fixture()
@@ -203,6 +203,22 @@ class TestFit:
         assert rc == 2
         assert "not identified" in capsys.readouterr().err
         assert not (tmp_path / "one_arm").exists()
+
+    @pytest.mark.parametrize("seed, frozen", [(1, [2]), (3, [])])
+    def test_frozen_chain_warning(self, tmp_path, capsys, seed, frozen):
+        # seed 1 leaves chain 2 at a step of 3.3e-9 against chain 1's 4.3e-4;
+        # seed 3's chains end at 7.9e-4 and 9.7e-4
+        out = tmp_path / "fit"
+        rc = main(["fit", "--data", str(VETERAN_CSV), "--formula",
+                   ADJUSTED_FORMULA, "--model", "ar1", "--partitions", "100",
+                   "--chains", "2", "--warmup", "50", "--iters", "50",
+                   "--leapfrog-steps", "16", "--target-accept", "0.85",
+                   "--seed", str(seed), "--out-dir", str(out)])
+        assert rc == 0
+        assert (out / "draws.csv").is_file() and (out / "meta.json").is_file()
+        warned = [line.split()[2] for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning:")]
+        assert warned == [f"{c}:" for c in frozen]
 
     def test_numerical_failure_exit_code(self, tmp_path, tiny_csv, capsys):
         # ar1 with an aggressive step diverges past the 20% gate -> exit 3
@@ -504,6 +520,48 @@ def test_quantiles_leave_numpy_ma_unloaded(tmp_path, tiny_csv, command):
         "print(rc, before, 'numpy.ma' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False False"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: every command runs with it
+    # unimportable, and none loads numpy.ma (about 18 ms per process)
+    draws, meta = str(tmp_path / "draws.csv"), str(tmp_path / "meta.json")
+    steps = [
+        ["fit", "--data", str(VETERAN_CSV), "--formula",
+         "Surv(y, delta) ~ A + karno", "--model", "ar1", "--partitions", "10",
+         "--chains", "2", "--warmup", "20", "--iters", "20", "--seed", "3",
+         "--leapfrog-steps", "8", "--out-dir", str(tmp_path)],
+        ["gcomp", "--draws", draws, "--meta", meta, "--B", "20",
+         "--times", "100,365", "--out-dir", str(tmp_path)],
+        ["summarize", "--file", draws, "--out", str(tmp_path / "summary.csv")],
+        ["diag", "--files", draws, "--out", str(tmp_path / "psrf.csv")],
+        ["hazard-export", "--draws", draws, "--meta", meta,
+         "--out", str(tmp_path / "hazard_export.csv")],
+    ]
+    proc = run_fresh_python(
+        "import json, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'no module named {name!r}')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "try:\n"
+        "    import scipy\n"
+        "    blocked = False\n"
+        "except ImportError:\n"
+        "    blocked = True\n"
+        "from causalpch.cli import main\n"
+        "status = []\n"
+        f"for argv in {steps!r}:\n"
+        "    rc = main(argv)\n"
+        "    loaded = sorted(m for m in sys.modules if m == 'numpy.ma'\n"
+        "                    or m.split('.')[0] == 'scipy')\n"
+        "    status.append([argv[0], rc, loaded])\n"
+        "print(json.dumps([blocked, status]))\n")
+    assert proc.returncode == 0, proc.stderr
+    blocked, status = json.loads(proc.stdout.splitlines()[-1])
+    assert blocked
+    assert status == [[argv[0], 0, []] for argv in steps]
 
 
 class TestHazardExport:

@@ -1,12 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.special import fdtri
 
 from causalpch import DataError, psrf, summarize
-from causalpch.diagnostics import _quantiles
-
-from conftest import run_fresh_python
+from causalpch.diagnostics import _f_quantile, _quantiles
 
 
 class TestSummarize:
@@ -165,11 +165,64 @@ class TestPsrf:
         assert fq == pytest.approx(6.9367, abs=5e-4)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates import time and memory; psrf does not need it
-    proc = run_fresh_python(
-        "import sys, causalpch; before = 'scipy.stats' in sys.modules; "
-        "causalpch.psrf([[1.0, 2.0, 4.0, 3.0], [2.0, 1.0, 0.0, 5.0]]); "
-        "print(before, 'scipy.stats' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    def test_equal_chain_variances_give_nan_upper_limit(self):
+        # -x has exactly the variance of x, so the chain variances have no
+        # spread, w_df is infinite and the F quantile is undefined
+        x = np.random.default_rng(10).standard_normal(100) + 1.0
+        report = psrf([x, -x])
+        assert math.isfinite(report.point[0])
+        assert math.isnan(report.upper[0])
+
+
+F_D2 = np.concatenate([np.geomspace(0.5, 1e8, 200), [1.0, 3.7, 10.0]])
+
+
+def exact_even_f_quantile(d1, d2, guess):
+    """The 0.975-quantile of F(d1, d2) for even d1, to about 30 digits.
+
+    Secant steps from ``guess``, which must be close, in 40-digit decimals
+    on the closed-form tail
+    P(F > q) = (1 - y)^b sum_{j < a} (b)_j / j! y^j with y = a q / (a q + b),
+    a = d1/2 and b = d2/2.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, b = d1 // 2, Decimal(d2) / 2
+
+        def excess(q):
+            y = a * q / (a * q + b)
+            term = total = Decimal(1)
+            for j in range(1, a):
+                term *= (b + j - 1) / j * y
+                total += term
+            return (b * (1 - y).ln()).exp() * total - Decimal("0.025")
+
+        q0, q1 = Decimal(guess), Decimal(guess) * (1 + Decimal("1e-9"))
+        f0, f1 = excess(q0), excess(q1)
+        for _ in range(10):
+            if f1 == f0:
+                break
+            q0, q1, f0 = q1, q1 - f1 * (q1 - q0) / (f1 - f0), f1
+            f1 = excess(q1)
+        assert abs(q1 / q0 - 1) < Decimal("1e-20"), "secant did not converge"
+        return float(q1)
+
+
+class TestFQuantile:
+    @pytest.mark.parametrize("d1", range(1, 8))
+    def test_matches_scipy(self, d1):
+        got = _f_quantile(0.975, d1, F_D2)
+        ref = fdtri(d1, F_D2, 0.975)
+        if d1 % 2 == 0:
+            exact = np.array([exact_even_f_quantile(d1, d2, q)
+                              for d2, q in zip(F_D2.tolist(), ref.tolist())])
+            assert np.max(np.abs(got / exact - 1)) <= 1e-10
+            # fdtri itself strays from the closed form at large d2 for even
+            # d1 (4.7e-10 at d1 = 4, d2 = 1e8); there the closed form rules
+            ref = np.where(np.abs(ref / exact - 1) > 1e-10, exact, ref)
+        assert np.max(np.abs(got / ref - 1)) <= 1e-10
+
+    def test_undefined_degrees_of_freedom_give_nan(self):
+        d2 = np.array([0.0, -1.0, np.inf, np.nan])
+        assert np.all(np.isnan(_f_quantile(0.975, 1, d2)))
+        assert np.all(np.isnan(fdtri(1, d2, 0.975)))

@@ -22,7 +22,7 @@ GOLDEN_SHA256 = {
     "gcomp_meta.json": "40cef395bb89d24046aad76cac6f97fc9b843d3c0d1c0a721dae2e38a683d825",
     "hazard_export.csv": "1a36b320ec235d9e3766fe025258b0ec75667fa75313214c7e00036628a129a2",
     "meta.json": "f684242fbf39bbecdd74d202cec90a9aa734480c8fa643834fefdab66b86b747",
-    "psrf.csv": "9bec6532e514ea9f43aabdbfd4359b6665627ad4a1d26ed4c8d9f99576d3d223",
+    "psrf.csv": "aa15704eb88257427f5852d9b6975479d35756e3e0e1b184d6ef6504a845e7ac",
     "summary.csv": "cdcce45cf0a3a85b1028a9030229216f7e5c7d6d5aed7c405dbf3fd65f0e2059",
     "surv_ref.csv": "9cff82f143a8fc6286eb9fcbaaa24a03116a65e5af7b547eb4412074dded84ad",
     "surv_trt.csv": "f49818e51a4b3c46d2e7d4756dc6a7a3a5e271303a2d73fac2dce350b14236f9",
