@@ -331,8 +331,6 @@ def cmd_diag(args) -> int:
             raise DataError(f"{path}: columns {kept_names} do not match "
                             f"{args.files[0]}: {all_names}")
         chains.extend(blocks)
-    if len(chains) < 2:
-        raise DataError("need at least 2 chains across the given files")
     report = psrf(chains, names=all_names)
     print(report.to_text())
     out = Path(args.out)
@@ -351,7 +349,7 @@ def cmd_hazard_export(args) -> int:
     post_mean = hazards.mean(axis=0)
     lo, hi = _quantiles(hazards, (lo_p, hi_p))
     person_time = expand_person_time(posterior.design.y, posterior.partition)
-    mle = pch_mle(posterior.design, person_time, partition=posterior.partition)
+    mle = pch_mle(posterior.design, person_time)
     out = Path(args.out)
     _write_csv(out, ["midpoint", "post_mean", "lo", "hi", "mle_hazard"],
                np.column_stack([posterior.partition.midpoints, post_mean, lo,
@@ -450,9 +448,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except CausalPchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

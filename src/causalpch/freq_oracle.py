@@ -1,13 +1,16 @@
 """Maximum-likelihood fit of the piecewise-constant-hazard Poisson model.
 
-Joint Newton-Raphson over (theta_tilde, beta) with the exact Hessian; the
-theta block is diagonal, so each step solves a small Schur-complement system
-in beta. A step-halving line search keeps the ascent monotone. Intervals
-with zero events have no finite maximizer (theta_tilde -> -inf); once such a
-coordinate drifts below -20 it is frozen there and reported as hazard 0.
+At fixed beta the hazard levels have the closed-form maximiser
+lambda_k = d_k / A_k(beta): the events in interval k over its rate-weighted
+exposure A_k = sum_i exp(x_i'beta) dt_ik (Laird & Olivier 1981). What is
+left, the profile log-likelihood
 
-Shares the likelihood/gradient code with the Bayesian model, so it doubles
-as an independent stationarity check on the sampler's gradients.
+    l(beta) = sum_i delta_i x_i'beta - sum_{k: d_k > 0} d_k log A_k(beta),
+
+is concave in beta and maximised by Newton-Raphson with step halving. An
+interval without events gets hazard exactly 0. The fit shares the
+likelihood code with the Bayesian model, so it doubles as an independent
+stationarity check on the sampler's gradients.
 """
 
 from __future__ import annotations
@@ -16,16 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .formula import DesignMatrix
-from .hazard_model import Partition, PersonTime, _PoissonLikelihood
+from .hazard_model import PersonTime, _PoissonLikelihood
 
 __all__ = ["MleFit", "pch_mle"]
 
-THETA_FLOOR = -20.0      # log-hazard below this is reported as hazard 0
 BETA_DIVERGED = 20.0     # |beta_j| beyond this flags separation
 MAX_ITER = 200           # Newton steps before giving up
-GRAD_TOL = 1e-8          # converged once every free |gradient| entry is below
+GRAD_TOL = 1e-8          # converged once every |profile gradient| entry is below
 
 
 @dataclass(frozen=True)
@@ -34,90 +35,62 @@ class MleFit:
     beta_hat: np.ndarray
     converged: bool
     iterations: int
-    max_grad_norm: float     # over free coordinates at exit
+    max_grad_norm: float     # of the profile gradient at exit
     separated: bool = False
 
 
-def pch_mle(design, person_time: PersonTime, delta: np.ndarray | None = None,
-            partition: Partition | None = None) -> MleFit:
-    """Fit the person-time Poisson model by Newton-Raphson.
+def _profile(lik: _PoissonLikelihood, beta: np.ndarray):
+    """(profile log-likelihood, gradient, Hessian, A_k of the intervals with
+    events) at ``beta``. One ``exposure`` call over the weight rows 1, x_j
+    and x_j x_l, each times exp(X beta), gives A_k and its derivatives."""
+    X, n, p = lik.X, lik.pt.n, lik.p
+    events = lik.d_events > 0
+    d = lik.d_events[events]
+    products = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    moments = np.vstack([np.ones(n), X.T, products.T])
+    E = lik.exposure(moments * np.exp(X @ beta))[:, events]
+    A, dA, d2A = E[0], E[1:p + 1], E[p + 1:].reshape(p, p, len(d))
+    m = dA / A                   # rate-weighted mean of x over each risk set
+    value = float(lik.Xt_delta @ beta - d @ np.log(A))
+    grad = lik.Xt_delta - m @ d
+    hess = (m * d) @ m.T - (d2A / A) @ d
+    return value, grad, hess, A
 
-    ``design`` may be a DesignMatrix (delta taken from it) or a plain n x p
-    matrix with ``delta`` given separately. ``partition`` is accepted for
-    interface symmetry; the person-time expansion already fixes the grid.
-    """
-    if isinstance(design, DesignMatrix):
-        X, delta = design.X, design.delta
-    else:
-        X = np.asarray(design, dtype=float)
-        if delta is None:
-            raise NumericalError("delta required when design is a plain matrix")
-    delta = np.asarray(delta, dtype=float)
-    if not np.any(delta == 1):
-        raise NumericalError("cannot fit: no events")
 
-    lik = _PoissonLikelihood(X, person_time, delta)
-    K, p = lik.K, lik.p
-
-    # start at the overall event rate with beta = 0
-    total_exposure = float(lik.exposure(np.ones((1, lik.X.shape[0])))[0].sum())
-    theta = np.full(K, np.log(delta.sum() / total_exposure))
-    beta = np.zeros(p)
-    frozen = np.zeros(K, dtype=bool)
-
-    value = lik.value(theta, beta)
-    iterations = 0
-    separated = False
-    max_grad = np.inf
-    for iterations in range(1, MAX_ITER + 1):
-        _, (g_theta,), (g_beta,) = lik.value_and_grad(theta[None], beta[None],
-                                                      with_value=False)
-        D, C, F = lik.hessian_blocks(theta, beta)
-        free = ~frozen
-        Dv, Cv, gt = D[free], C[free], g_theta[free]
-        if p:
-            S = F - Cv.T @ (Cv / Dv[:, None])
+def pch_mle(design: DesignMatrix, person_time: PersonTime) -> MleFit:
+    """Fit the person-time Poisson model by Newton-Raphson on the profile
+    log-likelihood of beta."""
+    lik = _PoissonLikelihood(design.X, person_time, design.delta)
+    beta = np.zeros(lik.p)
+    iterations, separated = 0, False
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, grad, hess, A = _profile(lik, beta)
+        while True:
+            max_grad = float(np.max(np.abs(grad), initial=0.0))
+            if max_grad < GRAD_TOL or iterations == MAX_ITER:
+                break
             try:
-                d_beta = np.linalg.solve(S, -g_beta + Cv.T @ (gt / Dv))
+                step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
                 separated = True
                 break
-        else:
-            d_beta = np.zeros(0)
-        d_theta = -(gt + Cv @ d_beta) / Dv
-
-        # line search: halve until the log-likelihood does not decrease
-        scale = 1.0
-        for _ in range(40):
-            theta_new = theta.copy()
-            theta_new[free] = theta[free] + scale * d_theta
-            beta_new = beta + scale * d_beta
-            value_new = lik.value(theta_new, beta_new)
-            if np.isfinite(value_new) and value_new >= value - 1e-12:
+            iterations += 1
+            # line search: halve until the log-likelihood does not decrease
+            scale = 1.0
+            for _ in range(40):
+                new = _profile(lik, beta + scale * step)
+                if np.isfinite(new[0]) and new[0] >= value - 1e-12:
+                    break
+                scale /= 2.0
+            beta = beta + scale * step
+            value, grad, hess, A = new
+            if np.any(np.abs(beta) > BETA_DIVERGED):
+                separated = True
                 break
-            scale /= 2.0
-        theta, beta, value = theta_new, beta_new, value_new
 
-        newly = (theta < THETA_FLOOR) & ~frozen
-        theta[newly] = THETA_FLOOR
-        frozen |= newly
-
-        if np.any(np.abs(beta) > BETA_DIVERGED):
-            separated = True
-            break
-
-        _, (g_theta,), (g_beta,) = lik.value_and_grad(theta[None], beta[None],
-                                                      with_value=False)
-        grads = [g_beta] if p else []
-        if np.any(~frozen):
-            grads.append(g_theta[~frozen])
-        max_grad = max(float(np.abs(g).max()) for g in grads) if grads else 0.0
-        if max_grad < GRAD_TOL:
-            break
-
-    theta_hat = np.exp(theta)
-    theta_hat[frozen] = 0.0
-    converged = (not separated) and max_grad < GRAD_TOL
-    return MleFit(theta_hat=theta_hat, beta_hat=beta, converged=converged,
-                  iterations=iterations, max_grad_norm=float(max_grad),
+    theta_hat = np.zeros(lik.K)
+    theta_hat[lik.d_events > 0] = lik.d_events[lik.d_events > 0] / A
+    return MleFit(theta_hat=theta_hat, beta_hat=beta,
+                  converged=not separated and max_grad < GRAD_TOL,
+                  iterations=iterations, max_grad_norm=max_grad,
                   separated=separated)

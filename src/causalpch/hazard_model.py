@@ -49,6 +49,10 @@ class Partition:
         if e.ndim != 1 or len(e) < 2 or e[0] != 0 or not np.all(e[1:] > e[:-1]):
             raise DataError("partition endpoints must be at least 2 numbers "
                             "that start at 0 and increase strictly")
+        widths = np.diff(e)
+        if not np.all(np.abs(widths - self.dtau) <= 1e-9 * self.dtau):
+            raise DataError("partition endpoints must be equally spaced, got "
+                            f"widths {widths.min():g} to {widths.max():g}")
 
     @property
     def K(self) -> int:
@@ -213,7 +217,7 @@ class _PoissonLikelihood:
     The double sum over subjects and intervals is collapsed via the
     factorization sum_k mu_ik = exp(x_i'beta) * Lambda0(y_i), so each
     evaluation costs one exp per subject plus O(K) interval work. Shared by
-    the posterior (value + gradient) and the frequentist fit (plus Hessian).
+    the posterior (value + gradient) and the frequentist fit (``exposure``).
 
     The kernels take a block of C points, theta (C, K) and beta (C, p), and
     give each row bitwise the result it has alone. They reuse buffers cached
@@ -295,16 +299,6 @@ class _PoissonLikelihood:
         r *= cumhaz
         g_beta = self.Xt_delta - np.matvec(self.X.T, r)
         return value, g_theta, g_beta
-
-    def hessian_blocks(self, theta, beta):
-        """Blocks of the (theta, beta) Hessian at one point: diagonal D,
-        cross C, dense F."""
-        exp_t, cumhaz, r = (a[0] for a in self._common(theta[None], beta[None],
-                                                       self._workspace(1)))
-        D = -exp_t * self.exposure(r[None])[0]
-        C = self.exposure(self.X.T * r).T * -exp_t[:, None]
-        F = -(self.X * (r * cumhaz)[:, None]).T @ self.X
-        return D, C, F
 
 
 def _process_residuals(theta: np.ndarray, eta, rho) -> np.ndarray:

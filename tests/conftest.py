@@ -7,7 +7,7 @@ import pytest
 
 import causalpch
 from causalpch import load_csv, make_partition, expand_person_time, build_design
-from causalpch.formula import parse_formula
+from causalpch.formula import DesignMatrix, Term, parse_formula
 
 from pathlib import Path
 
@@ -71,6 +71,15 @@ class Target:
 
     def grad(self, z):
         return self.log_posterior_grad(z)[1]
+
+
+def design_of(X, y, delta):
+    """A DesignMatrix over the columns of X, named x1..xp."""
+    names = tuple(f"x{j + 1}" for j in range(np.shape(X)[1]))
+    return DesignMatrix(X=np.asarray(X, dtype=float), columns=names,
+                        terms=tuple(Term((name,)) for name in names),
+                        y=np.asarray(y, dtype=float),
+                        delta=np.asarray(delta, dtype=float))
 
 
 def person_time_for(y, K):

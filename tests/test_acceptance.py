@@ -21,7 +21,8 @@ from causalpch.hazard_model import HazardModel, _PoissonLikelihood
 from causalpch.sampler import run_hmc_chain
 
 from conftest import (ADJUSTED_FORMULA, UNADJUSTED_FORMULA, VETERAN_CSV,
-                      Target, integrated_autocorr_time, random_survival_data)
+                      Target, design_of, integrated_autocorr_time,
+                      random_survival_data)
 from test_hazard_model import continuous_time_loglik, random_state
 from test_freq_oracle import occupied_instance
 
@@ -278,7 +279,7 @@ def test_criterion_09_mle_oracle_and_figure_contrast(unadjusted_fit):
         K = int(rng.integers(2, 7))
         p = int(rng.integers(1, 3))
         X, y, delta, part, pt = occupied_instance(rng, n=n, K=K, p=p)
-        fit = pch_mle(X, pt, delta, part)
+        fit = pch_mle(design_of(X, y, delta), pt)
         assert fit.converged
         lik = _PoissonLikelihood(X, pt, delta)
         z0 = np.concatenate([np.full(K, -1.0), np.zeros(p)])
@@ -298,7 +299,7 @@ def test_criterion_09_mle_oracle_and_figure_contrast(unadjusted_fit):
     lo = np.quantile(hazards, 0.025, axis=0)
     hi = np.quantile(hazards, 0.975, axis=0)
     person_time = expand_person_time(post.design.y, post.partition)
-    mle = pch_mle(post.design, person_time, partition=post.partition)
+    mle = pch_mle(post.design, person_time)
     eta_level = math.exp(float(post.eta_draws.mean()))
     last = slice(post.K - 10, post.K)
     hits = 0

@@ -343,6 +343,9 @@ class TestGcomp:
         # under A*x this drops A:x, which g-computation must rewrite
         "short_terms": lambda m: m["terms"].pop(),
         "partition": lambda m: m["partition"]["endpoints"].__setitem__(1, 0.0),
+        # still increasing, but the widths no longer equal dtau
+        "unequal_partition": lambda m: m["partition"]["endpoints"].__setitem__(
+            2, 7.0),
         "delta_two": lambda m: m["delta"].__setitem__(0, 2),
         "delta_nan": lambda m: m["delta"].__setitem__(0, float("nan")),
         "no_events": lambda m: m.update(delta=[0] * len(m["delta"])),

@@ -20,7 +20,7 @@ GOLDEN_SHA256 = {
     "ate.csv": "f3d4d1dd045b7c76048f838192e4dd80f8c2c60c5149bc4d1ef5405a9d697ec5",
     "draws.csv": "3288af79723be9381666ef4175bff81fbc019ba83eeed4488fe4429e40993087",
     "gcomp_meta.json": "40cef395bb89d24046aad76cac6f97fc9b843d3c0d1c0a721dae2e38a683d825",
-    "hazard_export.csv": "1a36b320ec235d9e3766fe025258b0ec75667fa75313214c7e00036628a129a2",
+    "hazard_export.csv": "817fda11b3d733cf550c49f9acb9c96c29a393c98e477dc5f8f64b3a65514f3c",
     "meta.json": "f684242fbf39bbecdd74d202cec90a9aa734480c8fa643834fefdab66b86b747",
     "psrf.csv": "aa15704eb88257427f5852d9b6975479d35756e3e0e1b184d6ef6504a845e7ac",
     "summary.csv": "cdcce45cf0a3a85b1028a9030229216f7e5c7d6d5aed7c405dbf3fd65f0e2059",

@@ -11,7 +11,7 @@ from causalpch import (DataError, HazardModel, HazardPosterior,
                        log_likelihood, log_prior, make_partition,
                        to_unconstrained)
 from causalpch.formula import DesignMatrix, Term
-from causalpch.hazard_model import PersonTime
+from causalpch.hazard_model import Partition, PersonTime
 
 from conftest import random_survival_data
 
@@ -51,6 +51,15 @@ class TestPartition:
     def test_nonpositive_max_time(self):
         with pytest.raises(DataError):
             make_partition(0.0, 10)
+
+    def test_unequal_widths_rejected(self):
+        with pytest.raises(DataError, match="equally spaced"):
+            Partition(endpoints=np.array([0.0, 49.95, 99.9, 199.8, 999.0]))
+
+    @pytest.mark.parametrize("max_time, K", [(999.0, 100), (7.3, 13),
+                                             (1e-3, 100000), (4e6, 3)])
+    def test_linspace_grids_pass_the_spacing_check(self, max_time, K):
+        assert make_partition(max_time, K).K == K
 
 
 def exposure(pt):
