@@ -159,6 +159,11 @@ def posterior_from_files(draws_path, meta_path) -> HazardPosterior:
     if names[-2:] != list(_BOOKKEEPING):
         raise DataError(f"{draws_path}: the last two columns are not "
                         f"{' and '.join(_BOOKKEEPING)}")
+    bad = np.argwhere(~np.isfinite(mat[:, :-2]))
+    if bad.size:
+        row, col = bad[0]
+        raise DataError(f"{draws_path}: row {row + 1}, column {names[col]}: "
+                        f"{mat[row, col]} is not a finite number")
     try:
         config = SamplerConfig(**{name: meta[name] for name in _RECORDED})
         fit = dict(

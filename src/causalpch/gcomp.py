@@ -14,10 +14,21 @@ Multinomial(B, p_i) with cell probabilities p_i from S_i, one draw per
 subject and arm. Weighted by pi / B, the counts give pi @ S(grid) by a
 reverse cumulative sum, at a cost that does not grow with B. Evaluation
 grids beyond the maximum observed time are rejected outright.
+
+Draws are independent, each with its own Philox stream, and most of a
+draw's time is spent in the multinomial counts, which release the GIL. So
+once one draw's counting work, n * (T + 1) cells per arm, reaches
+``PARALLEL_CELLS``, the draws are split into contiguous chunks, one per CPU
+the process may use: the calling thread runs the first chunk and threads run
+the rest. Every stream is spawned before any thread starts and each draw
+writes only its own rows, so the output bytes do not depend on the number of
+CPUs. This is not a setting; ``fit --threads`` does not govern it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +39,11 @@ from .hazard_model import Partition, cum_base_hazard
 
 __all__ = ["GcompResult", "draw_bb_weights", "apply_intervention",
            "gcompute", "exact_marginal_survival"]
+
+# Cells per arm, n * (T + 1), from which a draw's counts are worth a thread.
+# Two threads against one on the veteran posterior (B=1000) took 1.78x the
+# time at 411 cells, 1.12x at 2,329, 0.98x at 4,521 and 0.67x at 13,837.
+PARALLEL_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -116,15 +132,57 @@ def _subject_survival(X: np.ndarray, beta: np.ndarray,
 
 
 def _arm_survival(posterior, grid: np.ndarray):
-    """Per posterior draw, each subject's (n, T) survival on ``grid`` under
-    arm 0 and under arm 1; refuses a design without both arms."""
+    """The map from a draw index m to each subject's (n, T) survival on
+    ``grid`` under arm 0 and under arm 1; refuses a design without both
+    arms. The map only reads shared arrays, so threads may call it."""
     design = posterior.design
     arms = [apply_intervention(design.X, design.terms, design.columns,
                                posterior.treat_col, a) for a in (0, 1)]
     design.check_treatment(posterior.treat_col)
-    for theta, beta in zip(posterior.hazard_draws, posterior.beta_draws):
-        lam = cum_base_hazard(theta, posterior.partition, grid)
-        yield [_subject_survival(X, beta, lam) for X in arms]
+    hazards, betas = posterior.hazard_draws, posterior.beta_draws
+
+    def survival(m: int) -> list[np.ndarray]:
+        lam = cum_base_hazard(hazards[m], posterior.partition, grid)
+        return [_subject_survival(X, betas[m], lam) for X in arms]
+    return survival
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_split(run, count: int, workers: int) -> None:
+    """``run(chunk)`` over ``range(count)`` cut into ``workers`` contiguous
+    chunks: the calling thread runs the first, one thread each the rest.
+
+    Returns once every thread has finished. An exception from the calling
+    thread's chunk, else the first from a worker's, then reaches the caller.
+    """
+    bounds = [count * w // workers for w in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    failures = []
+
+    def guarded(chunk):
+        try:
+            run(chunk)
+        except BaseException as exc:    # raised again in the calling thread
+            failures.append(exc)
+
+    threads = []
+    try:
+        for chunk in chunks[1:]:
+            threads.append(threading.Thread(target=guarded, args=(chunk,)))
+            threads[-1].start()
+        run(chunks[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
 
 
 def gcompute(posterior, ref: int = 0, b: int = 1000,
@@ -134,7 +192,8 @@ def gcompute(posterior, ref: int = 0, b: int = 1000,
 
     ``grid`` defaults to the partition midpoints. ``seed`` defaults to the
     fit's seed; per-draw RNG streams are derived from it, so results are
-    reproducible and independent of evaluation order. ``bb_weights=False``
+    reproducible and independent of evaluation order and of the number of
+    CPUs the draws run on (see the module docstring). ``bb_weights=False``
     replaces the Bayesian bootstrap with fixed uniform weights 1/n.
     """
     if ref not in (0, 1):
@@ -157,18 +216,24 @@ def gcompute(posterior, ref: int = 0, b: int = 1000,
     M = len(posterior.draws)
     surv = np.empty((2, M, len(grid)))
     order = np.argsort(grid, kind="stable")
-    # disjoint from the sampler's chain spawn keys (c,)
-    root = np.random.SeedSequence(seed, spawn_key=(0x6C0,))
-    per_draw = _arm_survival(posterior, grid[order])
-    for m, (arms, stream) in enumerate(zip(per_draw, root.spawn(M))):
-        rng = np.random.Generator(np.random.Philox(stream))
-        pi = draw_bb_weights(n, rng) if bb_weights else np.full(n, 1.0 / n)
-        for a, S in enumerate(arms):
-            # cell j: simulations failing in (t_{j-1}, t_j], clipped at 0
-            cells = -np.diff(S, axis=1, prepend=1.0, append=0.0)
-            counts = rng.multinomial(b, np.maximum(cells, 0.0, out=cells))
-            mass = pi @ counts / b
-            surv[a, m, order] = np.cumsum(mass[::-1])[::-1][1:]
+    survival = _arm_survival(posterior, grid[order])
+    # disjoint from the sampler's chain spawn keys (c,); all spawned here,
+    # before any thread starts, so draw m's stream is the same on any CPUs
+    streams = np.random.SeedSequence(seed, spawn_key=(0x6C0,)).spawn(M)
+
+    def run(draws: range) -> None:
+        for m in draws:
+            rng = np.random.Generator(np.random.Philox(streams[m]))
+            pi = draw_bb_weights(n, rng) if bb_weights else np.full(n, 1.0 / n)
+            for a, S in enumerate(survival(m)):
+                # cell j: simulations failing in (t_{j-1}, t_j], clipped at 0
+                cells = -np.diff(S, axis=1, prepend=1.0, append=0.0)
+                counts = rng.multinomial(b, np.maximum(cells, 0.0, out=cells))
+                mass = pi @ counts / b
+                surv[a, m, order] = np.cumsum(mass[::-1])[::-1][1:]
+
+    parallel = n * (len(grid) + 1) >= PARALLEL_CELLS
+    _run_split(run, M, max(1, min(_usable_cpus(), M)) if parallel else 1)
     return GcompResult(times=grid, surv_ref=surv[ref], surv_trt=surv[1 - ref],
                        ate=surv[1 - ref] - surv[ref], ref_level=ref, B=b,
                        seed=seed, grid_source=grid_source)
@@ -187,7 +252,8 @@ def exact_marginal_survival(posterior, ref: int, grid: np.ndarray):
     n = posterior.design.n
     pi = np.full(n, 1.0 / n)
     surv = np.empty((2, len(posterior.draws), len(grid)))
-    for m, arms in enumerate(_arm_survival(posterior, grid)):
-        for a, S in enumerate(arms):
+    survival = _arm_survival(posterior, grid)
+    for m in range(len(posterior.draws)):
+        for a, S in enumerate(survival(m)):
             surv[a, m] = pi @ S
     return surv[ref], surv[1 - ref], surv[1 - ref] - surv[ref]

@@ -391,6 +391,29 @@ class TestGcomp:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("column, value", [
+        ("A", "nan"), ("theta_4", "inf"), ("nu_1", "-inf")])
+    @pytest.mark.parametrize("command", ["gcomp", "hazard-export"])
+    def test_non_finite_draw_exit_code(self, tmp_path, tiny_csv, capsys,
+                                       command, column, value):
+        fit = run_fit(tmp_path, tiny_csv)
+        draws = fit / "draws.csv"
+        lines = draws.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[3] = ",".join(cells)
+        draws.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = (["gcomp", "--B", "8", "--out-dir", str(out)]
+                if command == "gcomp"
+                else ["hazard-export", "--out", str(out)])
+        rc = main(argv + ["--draws", str(draws),
+                          "--meta", str(fit / "meta.json")])
+        assert rc == 2
+        assert (f"{draws}: row 3, column {column}: {value} is not a finite "
+                "number") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_meta(self, tmp_path, tiny_csv):
         fit_a = run_fit(tmp_path, tiny_csv, out="mm_a")
         fit_b = run_fit(tmp_path, tiny_csv, out="mm_b", model="ar1")

@@ -1,4 +1,7 @@
+import faulthandler
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ from scipy.stats import chi2
 from causalpch import (DataError, apply_intervention, cum_base_hazard,
                        draw_bb_weights, exact_marginal_survival, gcompute,
                        make_partition)
+from causalpch import gcomp
 from causalpch.formula import DesignMatrix, Term
 from causalpch.sampler import HazardPosterior, SamplerConfig
 
@@ -348,3 +352,79 @@ class TestConditionalSurvival:
         order = np.argsort(grid)
         for surv in (res.surv_ref, res.surv_trt):
             assert np.all(np.diff(surv[:, order], axis=1) <= 1e-12)
+
+
+class TestParallelDraws:
+    """Draws split over the calling thread and worker threads."""
+
+    @staticmethod
+    def force_workers(monkeypatch, cpus):
+        """Every posterior takes the threaded path on ``cpus`` CPUs."""
+        monkeypatch.setattr(gcomp, "PARALLEL_CELLS", 1)
+        monkeypatch.setattr(gcomp, "_usable_cpus", lambda: cpus)
+
+    def test_same_bytes_for_any_worker_count(self, monkeypatch):
+        # 23 draws do not split evenly over 2 or 5 workers; 5 outnumber the
+        # cores, and a short switch interval interleaves the workers' writes
+        post = synthetic_posterior(M=23, n=40, K=10)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            results = {}
+            for cpus in (1, 2, 5):
+                self.force_workers(monkeypatch, cpus)
+                del started[:]
+                results[cpus] = gcompute(post, ref=0, b=200, seed=7)
+                assert len(started) == cpus - 1
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+            sys.setswitchinterval(interval)
+        for cpus in (2, 5):
+            for field in ("surv_ref", "surv_trt", "ate"):
+                assert (getattr(results[cpus], field).tobytes()
+                        == getattr(results[1], field).tobytes())
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_failure_reaches_caller_after_threads_end(self, monkeypatch,
+                                                      where):
+        self.force_workers(monkeypatch, 3)
+        post = synthetic_posterior(M=9)
+        caller = threading.current_thread()
+        real, raised = gcomp.cum_base_hazard, []
+
+        class Boom(Exception):
+            pass
+
+        def failing(*args):
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raised.append(Boom(where))
+                raise raised[-1]
+            return real(*args)
+
+        monkeypatch.setattr(gcomp, "cum_base_hazard", failing)
+        before = threading.active_count()
+        with pytest.raises(Boom) as info:
+            gcompute(post, ref=0, b=8)
+        assert any(info.value is exc for exc in raised)
+        assert threading.active_count() == before
+
+    def test_small_work_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(gcomp, "_usable_cpus", lambda: 4)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("gcompute started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        post = synthetic_posterior(M=12)
+        assert post.design.n * (post.partition.K + 1) < gcomp.PARALLEL_CELLS
+        res = gcompute(post, ref=0, b=64)
+        assert res.ate.shape == (12, post.partition.K)
