@@ -19,8 +19,8 @@ from .gcomp import (GcompResult, apply_intervention, draw_bb_weights,
                     exact_marginal_survival, gcompute)
 from .hazard_model import (HazardModel, ParameterLayout, ParameterState,
                            Partition, PersonTime, PriorConfig, cum_base_hazard,
-                           expand_person_time, log_likelihood, log_prior,
-                           make_partition, to_unconstrained)
+                           expand_person_time, log_prior, make_partition,
+                           to_unconstrained)
 from .sampler import (HazardPosterior, SamplerConfig, leapfrog, sample,
                       run_hmc_chain)
 
@@ -31,8 +31,8 @@ __all__ = [
     "build_design",
     "Partition", "PersonTime", "ParameterState", "PriorConfig",
     "ParameterLayout", "HazardModel",
-    "make_partition", "expand_person_time", "log_likelihood", "log_prior",
-    "to_unconstrained", "cum_base_hazard",
+    "make_partition", "expand_person_time", "log_prior", "to_unconstrained",
+    "cum_base_hazard",
     "SamplerConfig", "HazardPosterior", "sample", "leapfrog", "run_hmc_chain",
     "GcompResult", "draw_bb_weights", "apply_intervention",
     "gcompute", "exact_marginal_survival",

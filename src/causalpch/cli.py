@@ -16,7 +16,8 @@ serialized with 17 significant digits, so emitted CSVs re-parse bit-exactly.
 draws.csv stores constrained parameters per retained draw: theta_1..theta_K
 (log baseline-hazard levels), one column per formula term, eta, rho (AR1
 only), nu_1..nu_K, then chain and iter labels. A meta.json whose design,
-terms or partition disagree with each other or with draws.csv exits 2.
+terms or partition disagree with each other or with draws.csv, or that
+another causalpch version wrote, exits 2.
 The fit's time and event columns are the ones its formula's Surv() names.
 fit prints a ``warning:`` line on stderr for each chain whose adapted step
 size is below 1/FROZEN_STEP_RATIO of the largest chain's.
@@ -155,6 +156,10 @@ def posterior_from_files(draws_path, meta_path) -> HazardPosterior:
     if not isinstance(meta, dict) or meta.get("artifact") != "causalpch":
         raise DataError(f"{meta_path}: not a causalpch fit record "
                         "(artifact is not 'causalpch')")
+    if meta.get("version") != __version__:
+        raise DataError(f"{meta_path}: written by causalpch version "
+                        f"{meta.get('version')!r}, but this is version "
+                        f"{__version__!r}")
     names, mat = read_numeric_csv(draws_path)
     if names[-2:] != list(_BOOKKEEPING):
         raise DataError(f"{draws_path}: the last two columns are not "

@@ -95,6 +95,16 @@ def _as_chain_list(draws) -> list[np.ndarray]:
     return out
 
 
+def _param_names(names, q: int) -> tuple[str, ...]:
+    """One name per parameter: ``names``, or param_1..param_q if None."""
+    if names is None:
+        return tuple(f"param_{j + 1}" for j in range(q))
+    names = tuple(names)
+    if len(names) != q:
+        raise DataError(f"{len(names)} names for {q} parameters")
+    return names
+
+
 def _quantiles(x: np.ndarray, probs) -> np.ndarray:
     """(len(probs), columns) type-7 quantiles of each column of ``x``, NaN
     for a column holding a NaN: one sort, then numpy's lerp."""
@@ -140,12 +150,7 @@ def summarize(draws, probs=(0.025, 0.975), names=None) -> SummaryTable:
     probs = tuple(float(p) for p in probs)
     if any(not 0 <= p <= 1 for p in probs):
         raise DataError("quantile probabilities must be in [0, 1]")
-    if names is None:
-        names = tuple(f"param_{j + 1}" for j in range(q))
-    else:
-        names = tuple(names)
-        if len(names) != q:
-            raise DataError(f"{len(names)} names for {q} parameters")
+    names = _param_names(names, q)
 
     mean = pooled.mean(axis=0)
     sd = pooled.std(axis=0, ddof=1)
@@ -283,11 +288,7 @@ def psrf(chains, names=None) -> PsrfReport:
     if m < 4:
         raise DataError("chains must have at least 4 draws")
     c = len(chain_list)
-    q = chain_list[0].shape[1]
-    if names is None:
-        names = tuple(f"param_{j + 1}" for j in range(q))
-    else:
-        names = tuple(names)
+    names = _param_names(names, chain_list[0].shape[1])
 
     x = np.stack(chain_list)                      # (C, M, Q)
     xbar = x.mean(axis=1)                         # (C, Q) chain means

@@ -90,10 +90,6 @@ class DesignMatrix:
     def n(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
     def check_treatment(self, treat_col: str) -> None:
         """Require a 0/1 treatment column with subjects in both arms.
 

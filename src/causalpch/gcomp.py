@@ -79,8 +79,9 @@ def apply_intervention(X: np.ndarray, terms: tuple[Term, ...],
     """Design matrix with treatment set to ``a`` for every subject.
 
     The treatment main-effect column becomes the constant ``a``; every
-    interaction column involving the treatment is recomputed from the
-    intervened value and the partner column. Other columns are untouched.
+    interaction column involving the treatment is recomputed as the product
+    of its two component columns in the intervened matrix. Other columns
+    are untouched.
     """
     if a not in (0, 1):
         raise DataError(f"intervention must be 0 or 1, got {a!r}")
@@ -90,14 +91,9 @@ def apply_intervention(X: np.ndarray, terms: tuple[Term, ...],
     by_name = {name: j for j, name in enumerate(columns)}
     out[:, by_name[treat_col]] = float(a)
     for j, term in enumerate(terms):
-        if not term.is_interaction or treat_col not in term.components:
-            continue
-        u, v = term.components
-        if u == treat_col and v == treat_col:
-            out[:, j] = float(a) * float(a)
-        else:
-            partner = v if u == treat_col else u
-            out[:, j] = float(a) * X[:, by_name[partner]]
+        if term.is_interaction and treat_col in term.components:
+            u, v = term.components
+            out[:, j] = out[:, by_name[u]] * out[:, by_name[v]]
     return out
 
 
@@ -186,15 +182,15 @@ def _run_split(run, count: int, workers: int) -> None:
 
 
 def gcompute(posterior, ref: int = 0, b: int = 1000,
-             grid: np.ndarray | None = None, seed: int | None = None,
-             bb_weights: bool = True) -> GcompResult:
+             grid: np.ndarray | None = None,
+             seed: int | None = None) -> GcompResult:
     """Posterior g-computation over a HazardPosterior.
 
     ``grid`` defaults to the partition midpoints. ``seed`` defaults to the
     fit's seed; per-draw RNG streams are derived from it, so results are
     reproducible and independent of evaluation order and of the number of
-    CPUs the draws run on (see the module docstring). ``bb_weights=False``
-    replaces the Bayesian bootstrap with fixed uniform weights 1/n.
+    CPUs the draws run on (see the module docstring). Each draw's stream
+    gives first its Bayesian-bootstrap weights, then the counts of each arm.
     """
     if ref not in (0, 1):
         raise DataError(f"ref must be 0 or 1, got {ref!r}")
@@ -224,7 +220,7 @@ def gcompute(posterior, ref: int = 0, b: int = 1000,
     def run(draws: range) -> None:
         for m in draws:
             rng = np.random.Generator(np.random.Philox(streams[m]))
-            pi = draw_bb_weights(n, rng) if bb_weights else np.full(n, 1.0 / n)
+            pi = draw_bb_weights(n, rng)
             for a, S in enumerate(survival(m)):
                 # cell j: simulations failing in (t_{j-1}, t_j], clipped at 0
                 cells = -np.diff(S, axis=1, prepend=1.0, append=0.0)

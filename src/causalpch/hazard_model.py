@@ -13,6 +13,8 @@ scale nu_k ~ Gamma(1, 1), i.e. unit-rate exponential.
 
 ``ParameterLayout`` declares the order of a parameter vector and the map to
 the sampler's unconstrained space, whose Jacobian the posterior includes.
+``log_prior`` writes the prior out apart from the posterior kernel, as an
+independent check on it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .formula import DesignMatrix
 __all__ = [
     "Partition", "PersonTime", "ParameterState", "PriorConfig",
     "ParameterLayout", "HazardModel",
-    "make_partition", "expand_person_time", "log_likelihood", "log_prior",
-    "to_unconstrained", "cum_base_hazard",
+    "make_partition", "expand_person_time", "log_prior", "to_unconstrained",
+    "cum_base_hazard",
 ]
 
 INDEPENDENT = "independent"
@@ -312,11 +314,12 @@ def _process_residuals(theta: np.ndarray, eta, rho) -> np.ndarray:
 
 
 class HazardModel:
-    """Binds data, partition and prior into a differentiable log posterior.
+    """Binds data and prior into a differentiable log posterior; the
+    partition is only checked against the prior's K.
 
-    Evaluates one point or a block of points, one row per chain. The
-    likelihood reuses scratch buffers, so one model must not be shared
-    between threads.
+    Evaluates one point or a block of points, one row per chain;
+    ``likelihood.value`` gives the log-likelihood alone. The likelihood
+    reuses scratch buffers, so one model must not be shared between threads.
     """
 
     def __init__(self, design: DesignMatrix, person_time: PersonTime,
@@ -324,8 +327,6 @@ class HazardModel:
         if partition.K != config.K:
             raise DataError(f"partition has K={partition.K} but prior config "
                             f"says K={config.K}")
-        self.design = design
-        self.partition = partition
         self.config = config
         self.likelihood = _PoissonLikelihood(design.X, person_time, design.delta)
         self.K = config.K
@@ -431,23 +432,6 @@ class HazardModel:
                 v = v + (math.log(0.75) + 2.0 * math.log(m)) if m > 0 else -math.inf
             value.append(v)
         return value, grad
-
-
-def log_likelihood(state: ParameterState, design, person_time: PersonTime,
-                   delta: np.ndarray | None = None) -> float:
-    """Poisson person-time log-likelihood at a parameter state.
-
-    ``design`` may be a DesignMatrix (delta taken from it) or a plain matrix
-    with ``delta`` passed separately.
-    """
-    if isinstance(design, DesignMatrix):
-        X, delta = design.X, design.delta
-    else:
-        X = np.asarray(design, dtype=float)
-        if delta is None:
-            raise DataError("delta required when design is a plain matrix")
-    lik = _PoissonLikelihood(X, person_time, delta)
-    return lik.value(state.theta_tilde, state.beta)
 
 
 def log_prior(state: ParameterState, config: PriorConfig) -> float:

@@ -5,8 +5,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from causalpch import (DataError, PriorConfig, SamplerConfig, cum_base_hazard,
-                       expand_person_time, make_partition)
+from causalpch import (DataError, PriorConfig, SamplerConfig, __version__,
+                       cum_base_hazard, expand_person_time, make_partition)
 from causalpch.cli import (_RECORDED, _split_chains, build_parser, main,
                            read_numeric_csv)
 from causalpch.dataset import check_response
@@ -333,6 +333,18 @@ class TestGcomp:
         assert "not identified" in capsys.readouterr().err
         assert not (tmp_path / "gc_one_arm" / "ate.csv").exists()
 
+    def test_other_version_names_both(self, tmp_path, tiny_csv, capsys):
+        fit = run_fit(tmp_path, tiny_csv)
+        meta = json.loads((fit / "meta.json").read_text())
+        meta["version"] = "0.0.1"
+        (fit / "meta.json").write_text(json.dumps(meta))
+        rc = main(["gcomp", "--draws", str(fit / "draws.csv"),
+                   "--meta", str(fit / "meta.json"), "--B", "8",
+                   "--out-dir", str(tmp_path / "gc_version")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "version '0.0.1'" in err and f"version {__version__!r}" in err
+
     META_DAMAGE = {
         "artifact": lambda m: m.update(artifact="other"),
         "narrow_design": lambda m: [row.pop() for row in m["design_matrix"]],
@@ -350,6 +362,8 @@ class TestGcomp:
         "delta_nan": lambda m: m["delta"].__setitem__(0, float("nan")),
         "no_events": lambda m: m.update(delta=[0] * len(m["delta"])),
         "y_nonpositive": lambda m: m["y"].__setitem__(0, -5.0),
+        "other_version": lambda m: m.update(version="0.0.1"),
+        "no_version": lambda m: m.pop("version"),
     }
 
     DRAWS_DAMAGE = {

@@ -136,6 +136,18 @@ class TestPsrf:
         with pytest.raises(DataError):
             psrf([np.arange(10.0), np.arange(12.0)])
 
+    def test_names_must_match_parameters(self):
+        rng = np.random.default_rng(9)
+        chains = [rng.standard_normal((20, 3)) for _ in range(2)]
+        assert psrf(chains, names=("a", "b", "c")).names == ("a", "b", "c")
+        for names in (("a",), ("a", "b", "c", "d")):
+            with pytest.raises(DataError, match=f"{len(names)} names for 3"):
+                psrf(chains, names=names)
+        # refused before the zero-variance check looks up a missing name
+        chains[0][:, 2] = chains[1][:, 2] = 1.0
+        with pytest.raises(DataError, match="2 names for 3"):
+            psrf(chains, names=("a", "b"))
+
     def test_point_estimate_can_dip_below_one(self):
         # with nearly identical chains the small-sample estimate may be just
         # under 1, as in published tables; it must never be wildly below

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,13 @@ from causalpch.sampler import HazardPosterior, SamplerConfig
 
 def rng_for(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def uniform_weights():
+    """A context in which g-computation weights every subject 1/n in place
+    of the Bayesian bootstrap; these weights draw nothing from a stream."""
+    return mock.patch.object(gcomp, "draw_bb_weights",
+                             lambda n, rng: np.full(n, 1.0 / n))
 
 
 class TestBBWeights:
@@ -127,7 +135,8 @@ class TestGcompute:
         post = synthetic_posterior(M=30, identical=True)
         grid = np.array([2.0, 6.0, 10.0])
         b = 4000
-        res = gcompute(post, ref=0, b=b, grid=grid, bb_weights=False)
+        with uniform_weights():
+            res = gcompute(post, ref=0, b=b, grid=grid)
         ref_exact, trt_exact, ate_exact = exact_marginal_survival(
             post, ref=0, grid=grid)
         tol = 2.0 / math.sqrt(b)
@@ -187,7 +196,7 @@ class TestGcompute:
             exact_marginal_survival(post, ref=0, grid=np.array([2.0, 6.0]))
 
 
-def inverse_cdf_gcompute(post, b, grid, seed, bb_weights=True):
+def inverse_cdf_gcompute(post, b, grid, seed):
     """Marginal survival per arm by the inverse-CDF path, (2, M, T).
 
     Simulates every event time, one Philox stream per draw as in
@@ -203,8 +212,7 @@ def inverse_cdf_gcompute(post, b, grid, seed, bb_weights=True):
     out = np.zeros((2, len(post.draws), len(grid)))
     for m, stream in enumerate(streams):
         rng = np.random.Generator(np.random.Philox(stream))
-        pi = (draw_bb_weights(design.n, rng) if bb_weights
-              else np.full(design.n, 1.0 / design.n))
+        pi = gcomp.draw_bb_weights(design.n, rng)
         hazard = post.hazard_draws[m]
         knots = np.concatenate(([0.0], part.dtau * np.cumsum(hazard)))
         for a in (0, 1):
@@ -247,9 +255,10 @@ class TestCountingKernel:
         part = make_partition(12.0, K)
         theta = np.log(np.diff(0.4 * np.sqrt(part.endpoints)) / part.dtau)
         post = degenerate_posterior(theta, [math.log(1.5), 0.2], M=M, n=n)
-        res = gcompute(post, ref=0, b=b, grid=grid, seed=11, bb_weights=False)
-        # another seed, so the two kernels' replicates are independent
-        want = inverse_cdf_gcompute(post, b, res.times, 12, bb_weights=False)
+        with uniform_weights():
+            res = gcompute(post, ref=0, b=b, grid=grid, seed=11)
+            # another seed, so the two kernels' replicates are independent
+            want = inverse_cdf_gcompute(post, b, res.times, 12)
         got = np.stack([res.surv_ref, res.surv_trt])
         d = post.design
         rates = [np.exp(apply_intervention(d.X, d.terms, d.columns, "A", a)
@@ -271,7 +280,8 @@ class TestCountingKernel:
         level, b = 0.25, 2000
         post = degenerate_posterior(np.full(6, math.log(level)), [0.0, 0.0])
         grid = np.array([0.5, 2.0, 5.0, 11.0])
-        res = gcompute(post, ref=0, b=b, grid=grid, bb_weights=False)
+        with uniform_weights():
+            res = gcompute(post, ref=0, b=b, grid=grid)
         exact = np.exp(-level * grid)
         for surv in (res.surv_ref, res.surv_trt):
             assert np.all(np.abs(surv - exact) < mc_tolerance(exact, 12, b))
@@ -281,7 +291,8 @@ class TestCountingKernel:
         b = 2000
         post = degenerate_posterior(theta, [math.log(2.0), 0.0])
         grid = np.array([1.0, 4.0, 7.5, 12.0])
-        res = gcompute(post, ref=0, b=b, grid=grid, bb_weights=False)
+        with uniform_weights():
+            res = gcompute(post, ref=0, b=b, grid=grid)
         surv = np.exp(-cum_base_hazard(np.exp(theta), post.partition, grid))
         assert np.all(np.abs(res.surv_ref - surv) < mc_tolerance(surv, 12, b))
         assert np.all(np.abs(res.surv_trt - surv**2)
@@ -327,8 +338,8 @@ class TestSimulateEventTimes:
         b = 4000
         post = degenerate_posterior(np.full(6, math.log(0.1 / 12.0)),
                                     [0.0, 0.0])
-        res = gcompute(post, ref=0, b=b, grid=np.array([12.0]),
-                       bb_weights=False)
+        with uniform_weights():
+            res = gcompute(post, ref=0, b=b, grid=np.array([12.0]))
         surv = math.exp(-0.1)
         assert np.all(np.abs(res.surv_ref - surv) < mc_tolerance(surv, 12, b))
 

@@ -8,10 +8,9 @@ from scipy import integrate
 from causalpch import (DataError, HazardModel, HazardPosterior,
                        ParameterLayout, ParameterState, PriorConfig,
                        SamplerConfig, cum_base_hazard, expand_person_time,
-                       log_likelihood, log_prior, make_partition,
-                       to_unconstrained)
+                       log_prior, make_partition, to_unconstrained)
 from causalpch.formula import DesignMatrix, Term
-from causalpch.hazard_model import Partition, PersonTime
+from causalpch.hazard_model import Partition, PersonTime, _PoissonLikelihood
 
 from conftest import random_survival_data
 
@@ -129,8 +128,8 @@ class TestLogLikelihood:
         pt = expand_person_time(np.array([2.0]), part)
         state = ParameterState(theta_tilde=np.zeros(1), beta=np.zeros(0),
                                eta=0.0, rho=0.0, nu=np.ones(1))
-        ll = log_likelihood(state, np.zeros((1, 0)), pt,
-                            delta=np.array([1.0]))
+        ll = _PoissonLikelihood(np.zeros((1, 0)), pt, np.array([1.0])).value(
+            state.theta_tilde, state.beta)
         assert ll == pytest.approx(math.log(2.0) - 2.0, rel=1e-12)
 
     def test_poisson_minus_continuous_is_constant(self):
@@ -141,10 +140,11 @@ class TestLogLikelihood:
             part = make_partition(float(y.max()), K)
             pt = expand_person_time(y, part)
             expected = float(delta @ np.log(pt.dt_last))
+            lik = _PoissonLikelihood(X, pt, delta)
             diffs = []
             for _ in range(5):
                 state = random_state(rng, K, 2)
-                pois = log_likelihood(state, X, pt, delta=delta)
+                pois = lik.value(state.theta_tilde, state.beta)
                 cont = continuous_time_loglik(state.theta_tilde, state.beta,
                                               X, y, delta, part.endpoints)
                 diffs.append(pois - cont)
@@ -164,8 +164,10 @@ class TestLogLikelihood:
         shifted = ParameterState(theta_tilde=state.theta_tilde - math.log(2),
                                  beta=state.beta, eta=state.eta,
                                  rho=state.rho, nu=state.nu)
-        base = log_likelihood(state, X, pt, delta=delta)
-        moved = log_likelihood(shifted, X, doubled, delta=delta)
+        base = _PoissonLikelihood(X, pt, delta).value(state.theta_tilde,
+                                                      state.beta)
+        moved = _PoissonLikelihood(X, doubled, delta).value(
+            shifted.theta_tilde, shifted.beta)
         assert moved == pytest.approx(base, rel=1e-12)
 
 
@@ -422,8 +424,7 @@ class TestLogPosteriorGrad:
         theta, beta, eta, rho, nu = layout.split(layout.constrain(z))
         state = ParameterState(theta, beta, float(eta), float(rho), nu)
         log_jac = layout.log_jacobian(z)
-        ll = log_likelihood(state, model.design, model.likelihood.pt,
-                            delta=model.design.delta)
+        ll = model.likelihood.value(state.theta_tilde, state.beta)
         lp = log_prior(state, cfg)
         assert value == pytest.approx(ll + lp + log_jac, rel=1e-10)
 
