@@ -9,10 +9,12 @@ Subcommands::
     hazard-export  plot-ready baseline hazard (posterior band + MLE overlay)
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
-failure. Every CSV is read by ``dataset.read_csv``, which reports a ragged
-file by its row, and written by ``_write_csv``; meta.json and gcomp_meta.json
-are written by ``_write_json`` and read by ``read_meta_json``. Floats are
-serialized with 17 significant digits, so emitted CSVs re-parse bit-exactly.
+failure. A data CSV is read by ``dataset.read_csv``, which reports a ragged
+file by its row, and a draws-style CSV by ``read_numeric_csv``, which refuses
+what ``read_csv`` and ``float()`` refuse, with their messages. Every CSV is
+written by ``_write_csv``; meta.json and gcomp_meta.json are written by
+``_write_json`` and read by ``read_meta_json``. Floats are serialized with
+17 significant digits, so emitted CSVs re-parse bit-exactly.
 draws.csv stores constrained parameters per retained draw: theta_1..theta_K
 (log baseline-hazard levels), one column per formula term, eta, rho (AR1
 only), nu_1..nu_K, then chain and iter labels. A meta.json whose design,
@@ -26,6 +28,7 @@ size is below 1/FROZEN_STEP_RATIO of the largest chain's.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import fields
@@ -52,6 +55,9 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 _BOOKKEEPING = ("chain", "iter")
+
+# lines that csv.reader reads as rows of no fields and numpy's parser skips
+_BLANK_LINES = ("\n", "\r\n", "\r")
 
 # fit warns for a chain whose adapted step is this many times below the
 # largest chain's: the box start can leave a chain at a step of 1e-9 or less,
@@ -132,12 +138,34 @@ def write_meta_json(posterior: HazardPosterior, path, data_path="") -> None:
 
 
 def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a header-plus-floats CSV (draws.csv, ate.csv, ...)."""
-    header, rows = read_csv(path)
+    """Read a header-plus-floats CSV (draws.csv, ate.csv, ...).
+
+    ``csv.reader`` reads the header and numpy's C parser the data rows; it
+    rounds a cell as ``float()`` does. A file it refuses, one with a blank
+    line and one whose rows are not as wide as the header are read again by
+    ``dataset.read_csv`` and ``float()``, whose DataError names the fault.
+    """
     try:
-        return header, np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell ({exc})") from None
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            lines = fh.readlines()
+        if header and lines and not any(line in _BLANK_LINES
+                                        for line in lines):
+            mat = np.loadtxt(lines, delimiter=",", comments=None,
+                             quotechar='"', ndmin=2)
+            if mat.shape[1] == len(header):
+                return [h.strip() for h in header], mat
+    except (OSError, ValueError):
+        pass
+    _, rows = read_csv(path)        # unreadable, empty, ragged, header-only
+    for row in rows:
+        for cell in row:
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise DataError(f"{path}: non-numeric cell ({exc})") from None
+    # float() reads a few forms numpy's parser does not, such as 1_000
+    raise DataError(f"{path}: non-numeric cell (not a plain decimal number)")
 
 
 def read_meta_json(path) -> dict:

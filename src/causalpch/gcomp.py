@@ -15,6 +15,11 @@ subject and arm. Weighted by pi / B, the counts give pi @ S(grid) by a
 reverse cumulative sum, at a cost that does not grow with B. Evaluation
 grids beyond the maximum observed time are rejected outright.
 
+The Lambda0 knots of all draws come from one cumulative sum over the (M, K)
+hazard draws, and a draw interpolates its own on the grid. A draw's cells,
+1 - S(t_0), S(t_{j-1}) - S(t_j) and S(t_{T-1}), are written into one
+(n, T + 1) buffer per thread.
+
 Draws are independent, each with its own Philox stream, and most of a
 draw's time is spent in the multinomial counts, which release the GIL. So
 once one draw's counting work, n * (T + 1) cells per arm, reaches
@@ -35,15 +40,16 @@ import numpy as np
 
 from .errors import DataError
 from .formula import Term
-from .hazard_model import Partition, cum_base_hazard
+from .hazard_model import Partition, cum_hazard_knots
 
 __all__ = ["GcompResult", "draw_bb_weights", "apply_intervention",
            "gcompute", "exact_marginal_survival"]
 
 # Cells per arm, n * (T + 1), from which a draw's counts are worth a thread.
-# Two threads against one on the veteran posterior (B=1000) took 1.78x the
-# time at 411 cells, 1.12x at 2,329, 0.98x at 4,521 and 0.67x at 13,837.
-PARALLEL_CELLS = 8192
+# Two threads against one on the veteran posterior (200 draws, B=1000, 2
+# vCPUs) took 1.26-1.58x the time at 411 cells, 0.84-0.97x at 2,329,
+# 0.67-0.77x at 4,521 and 0.59-0.66x at 13,837.
+PARALLEL_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -114,32 +120,36 @@ def _validate_grid(grid: np.ndarray, partition: Partition) -> np.ndarray:
     return grid
 
 
-def _subject_survival(X: np.ndarray, beta: np.ndarray,
-                      lam: np.ndarray) -> np.ndarray:
+def _subject_survival(X: np.ndarray, beta: np.ndarray, lam: np.ndarray,
+                      positive: np.ndarray) -> np.ndarray:
     """(n, T) survival exp(-exp(x_i'beta) Lambda0(t)) of each subject.
 
-    The product with Lambda0(t) = 0 is taken as 0, so survival is 1 there
-    even where the rate exp(x_i'beta) overflowed.
+    The product is taken only where ``positive`` (Lambda0(t) > 0) holds and
+    is 0 elsewhere, so survival is 1 there even where the rate exp(x_i'beta)
+    overflowed.
     """
     with np.errstate(over="ignore"):
         cum = np.multiply(np.exp(X @ beta)[:, None], lam,
-                          out=np.zeros((len(X), len(lam))), where=lam > 0)
-    return np.exp(-cum)
+                          out=np.zeros((len(X), len(lam))), where=positive)
+    return np.exp(np.negative(cum, out=cum), out=cum)
 
 
 def _arm_survival(posterior, grid: np.ndarray):
     """The map from a draw index m to each subject's (n, T) survival on
     ``grid`` under arm 0 and under arm 1; refuses a design without both
-    arms. The map only reads shared arrays, so threads may call it."""
+    arms. The map only reads shared arrays, so threads may call it.
+    ``grid`` must lie in [0, max time] (see ``_validate_grid``)."""
     design = posterior.design
     arms = [apply_intervention(design.X, design.terms, design.columns,
                                posterior.treat_col, a) for a in (0, 1)]
     design.check_treatment(posterior.treat_col)
-    hazards, betas = posterior.hazard_draws, posterior.beta_draws
+    endpoints, betas = posterior.partition.endpoints, posterior.beta_draws
+    knots = cum_hazard_knots(posterior.hazard_draws, posterior.partition)
 
     def survival(m: int) -> list[np.ndarray]:
-        lam = cum_base_hazard(hazards[m], posterior.partition, grid)
-        return [_subject_survival(X, betas[m], lam) for X in arms]
+        lam = np.interp(grid, endpoints, knots[m])
+        positive = lam > 0
+        return [_subject_survival(X, betas[m], lam, positive) for X in arms]
     return survival
 
 
@@ -218,12 +228,16 @@ def gcompute(posterior, ref: int = 0, b: int = 1000,
     streams = np.random.SeedSequence(seed, spawn_key=(0x6C0,)).spawn(M)
 
     def run(draws: range) -> None:
+        # cell j: simulations failing in (t_{j-1}, t_j], with t_{-1} = 0
+        # (survival 1) and t_T = infinity (survival 0), clipped at 0
+        cells = np.empty((n, len(grid) + 1))
         for m in draws:
             rng = np.random.Generator(np.random.Philox(streams[m]))
             pi = draw_bb_weights(n, rng)
             for a, S in enumerate(survival(m)):
-                # cell j: simulations failing in (t_{j-1}, t_j], clipped at 0
-                cells = -np.diff(S, axis=1, prepend=1.0, append=0.0)
+                np.subtract(1.0, S[:, 0], out=cells[:, 0])
+                np.subtract(S[:, :-1], S[:, 1:], out=cells[:, 1:-1])
+                cells[:, -1] = S[:, -1]
                 counts = rng.multinomial(b, np.maximum(cells, 0.0, out=cells))
                 mass = pi @ counts / b
                 surv[a, m, order] = np.cumsum(mass[::-1])[::-1][1:]

@@ -481,12 +481,21 @@ def cum_base_hazard(theta: np.ndarray, partition: Partition, t) -> np.ndarray | 
     Piecewise linear, continuous and nondecreasing in t; accepts a scalar or
     an array of times within [0, max time].
     """
-    theta = np.asarray(theta, dtype=float)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     inside = (t_arr >= 0) & (t_arr <= partition.max_time)     # False for NaN
     if not inside.all():
         raise DataError(f"time {float(t_arr[~inside][0])} outside "
                         f"[0, {partition.max_time}]")
-    knots = np.concatenate(([0.0], partition.dtau * np.cumsum(theta)))
-    out = np.interp(t_arr, partition.endpoints, knots)
+    out = np.interp(t_arr, partition.endpoints, cum_hazard_knots(theta, partition))
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+
+
+def cum_hazard_knots(theta: np.ndarray, partition: Partition) -> np.ndarray:
+    """Lambda0 at the partition endpoints, 0 then dtau * cumsum(theta), along
+    the last axis: a (M, K) block of hazard levels gives (M, K + 1) knots in
+    one pass, row m bit-identical to the knots of theta[m] alone."""
+    theta = np.asarray(theta, dtype=float)
+    knots = np.zeros(theta.shape[:-1] + (theta.shape[-1] + 1,))
+    np.cumsum(theta, axis=-1, out=knots[..., 1:])
+    knots[..., 1:] *= partition.dtau
+    return knots

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 from dataclasses import fields
 
@@ -8,7 +9,7 @@ import pytest
 from causalpch import (DataError, PriorConfig, SamplerConfig, __version__,
                        cum_base_hazard, expand_person_time, make_partition)
 from causalpch.cli import (_RECORDED, _split_chains, build_parser, main,
-                           read_numeric_csv)
+                           read_numeric_csv, write_matrix_csv)
 from causalpch.dataset import check_response
 
 from conftest import ADJUSTED_FORMULA, VETERAN_CSV, run_fresh_python
@@ -449,15 +450,6 @@ class TestSummarize:
         header, _ = read_numeric_csv_rows(out_csv)
         assert header[:5] == ["param", "mean", "sd", "naive_se", "ts_se"]
 
-    def test_ragged_draws_reported_by_row(self, tmp_path, capsys):
-        path = tmp_path / "draws.csv"
-        path.write_text("a,b,chain,iter\n0.1,0.2,1,1\n0.3,1,2\n0.5,0.6,1,3\n")
-        rc = main(["summarize", "--file", str(path),
-                   "--out", str(tmp_path / "s.csv")])
-        assert rc == 2
-        assert "row 2 has 3 fields, expected 4" in capsys.readouterr().err
-        assert not (tmp_path / "s.csv").exists()
-
     def test_constant_column_sd_zero(self, tmp_path):
         path = tmp_path / "flat.csv"
         path.write_text("a,b\n" + "\n".join("1.5,2" for _ in range(10)) + "\n")
@@ -527,6 +519,100 @@ def test_bad_chain_label_exit_code(tmp_path, tiny_csv, capsys, label, command):
     assert not out.exists()
 
 
+def lines_text(*lines, end="\n"):
+    return end.join(lines) + end
+
+
+# edits of a fit's draws.csv: (header, data lines) -> text, then the exit
+# code and the error message, with {w} the column count, {w1} = w - 1 and
+# {r1} one more than the data rows; CRLF line endings are read like LF
+DRAWS_EDITS = {
+    "empty": (lambda head, rows: "", 2, "{path}: empty file"),
+    "header_only": (lambda head, rows: lines_text(head), 2,
+                    "{path}: no data rows"),
+    "non_numeric": (
+        lambda head, rows: lines_text(head, rows[0], "abc" + rows[1][
+            rows[1].index(","):], *rows[2:]), 2,
+        "{path}: non-numeric cell (could not convert string to float: 'abc')"),
+    "ragged": (
+        lambda head, rows: lines_text(head, rows[0], rows[1].rsplit(",", 1)[0],
+                                      *rows[2:]), 2,
+        "{path}: row 2 has {w1} fields, expected {w}"),
+    "blank_line": (lambda head, rows: lines_text(head, rows[0], "", *rows[1:]),
+                   2, "{path}: row 2 has 0 fields, expected {w}"),
+    "trailing_blank_line": (lambda head, rows: lines_text(head, *rows, ""), 2,
+                            "{path}: row {r1} has 0 fields, expected {w}"),
+    "crlf": (lambda head, rows: lines_text(head, *rows, end="\r\n"), 0, None),
+}
+
+
+@pytest.mark.parametrize("edit", list(DRAWS_EDITS))
+@pytest.mark.parametrize("command", ["summarize", "gcomp"])
+def test_draws_file_faults_exit_as_before(tmp_path, tiny_csv, capsys,
+                                          command, edit):
+    # the numeric reader refuses what csv.reader and float() refused, with
+    # the same message; numpy's parser alone skips blank lines
+    fit = run_fit(tmp_path, tiny_csv)
+    head, *rows = (fit / "draws.csv").read_text().splitlines()
+    make, code, message = DRAWS_EDITS[edit]
+    path = tmp_path / "edited.csv"
+    path.write_text(make(head, rows), newline="")
+
+    def run(draws, out):
+        if command == "summarize":
+            argv = ["summarize", "--file", str(draws), "--out", str(out)]
+        else:
+            argv = ["gcomp", "--draws", str(draws), "--meta",
+                    str(fit / "meta.json"), "--B", "20", "--out-dir", str(out)]
+        return main(argv), out / "ate.csv" if command == "gcomp" else out
+
+    capsys.readouterr()
+    rc, written = run(path, tmp_path / "edited_out")
+    err = capsys.readouterr().err
+    assert rc == code
+    if message is None:
+        _, want = run(fit / "draws.csv", tmp_path / "plain_out")
+        assert written.read_bytes() == want.read_bytes()
+    else:
+        w = head.count(",") + 1
+        assert err == "error: " + message.format(
+            path=path, w=w, w1=w - 1, r1=len(rows) + 1) + "\n"
+        assert not written.exists()
+
+
+def test_numeric_reader_parses_as_float_does(tmp_path):
+    # numpy's parser and float() round every cell alike: a _write_csv round
+    # trip of random doubles, then cells written by hand
+    rng = np.random.default_rng(21)
+    mat = np.frombuffer(rng.bytes(8 * 40 * 6), dtype=np.float64).reshape(40, 6)
+    mat = np.vstack([mat, rng.standard_normal((40, 6)) * 10.0 ** rng.integers(
+        -300, 300, (40, 6)), [[-0.0, 5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308,
+                               -1.7976931348623157e308, np.nan]]])
+    path = tmp_path / "random.csv"
+    write_matrix_csv(path, list("abcdef"), mat)
+    header, got = read_numeric_csv(path)
+    assert header == list("abcdef")
+    assert got.tobytes() == float_parse(path).tobytes()
+    # bit-exact where the 17-digit text can say it: all but NaN payloads
+    same = (got.view(np.uint64) == mat.view(np.uint64)) | np.isnan(mat)
+    assert same.all()
+
+    path = tmp_path / "edited.csv"
+    path.write_text('a,b,c,d,e\nnan,inf,-inf, 1.5 ,"2.5"\n'
+                    '" -0.0 ",+3, 7 ,"1e-300",-nan\n')
+    header, got = read_numeric_csv(path)
+    assert header == list("abcde")
+    assert got.tobytes() == float_parse(path).tobytes()
+
+
+def float_parse(path):
+    """The data cells of a CSV, read by csv.reader and float()."""
+    with open(path, newline="") as fh:
+        return np.array([[float(v) for v in row]
+                         for row in list(csv.reader(fh))[1:]])
+
+
 @pytest.mark.parametrize("call, value", [
     (lambda: check_response(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
                             "y", "delta"), "2.0"),
@@ -560,6 +646,26 @@ def test_quantiles_leave_numpy_ma_unloaded(tmp_path, tiny_csv, command):
         "print(rc, before, 'numpy.ma' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False False"
+
+
+@pytest.mark.parametrize("command", ["gcomp", "diag"])
+def test_reading_draws_leaves_gzip_and_numpy_ma_unloaded(tmp_path, tiny_csv,
+                                                         command):
+    # np.loadtxt imports gzip when handed a path, not when handed lines;
+    # numpy.ma costs about 18 ms per process
+    fit = run_fit(tmp_path, tiny_csv, extra=("--chains", "2"))
+    argv = (["gcomp", "--draws", str(fit / "draws.csv"), "--meta",
+             str(fit / "meta.json"), "--B", "20", "--out-dir", str(tmp_path)]
+            if command == "gcomp" else
+            ["diag", "--files", str(fit / "draws.csv"),
+             "--out", str(tmp_path / "psrf.csv")])
+    proc = run_fresh_python(
+        "import sys; from causalpch.cli import main; "
+        "before = [m in sys.modules for m in ('gzip', 'numpy.ma')]; "
+        f"rc = main({argv!r}); "
+        "print(rc, before, [m in sys.modules for m in ('gzip', 'numpy.ma')])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [False, False] [False, False]"
 
 
 def test_cli_runs_without_scipy(tmp_path):

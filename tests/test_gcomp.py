@@ -410,7 +410,7 @@ class TestParallelDraws:
         self.force_workers(monkeypatch, 3)
         post = synthetic_posterior(M=9)
         caller = threading.current_thread()
-        real, raised = gcomp.cum_base_hazard, []
+        real, raised = gcomp._subject_survival, []
 
         class Boom(Exception):
             pass
@@ -421,7 +421,7 @@ class TestParallelDraws:
                 raise raised[-1]
             return real(*args)
 
-        monkeypatch.setattr(gcomp, "cum_base_hazard", failing)
+        monkeypatch.setattr(gcomp, "_subject_survival", failing)
         before = threading.active_count()
         with pytest.raises(Boom) as info:
             gcompute(post, ref=0, b=8)

@@ -10,7 +10,8 @@ from causalpch import (DataError, HazardModel, HazardPosterior,
                        SamplerConfig, cum_base_hazard, expand_person_time,
                        log_prior, make_partition, to_unconstrained)
 from causalpch.formula import DesignMatrix, Term
-from causalpch.hazard_model import Partition, PersonTime, _PoissonLikelihood
+from causalpch.hazard_model import (Partition, PersonTime, _PoissonLikelihood,
+                                    cum_hazard_knots)
 
 from conftest import random_survival_data
 
@@ -560,3 +561,25 @@ class TestCumBaseHazard:
         part = make_partition(5.0, 4)
         with pytest.raises(DataError):
             cum_base_hazard(np.ones(4), part, 5.1)
+
+    @pytest.mark.parametrize("K", [1, 7, 100])
+    def test_all_draws_knots_match_each_draw(self, K):
+        # g-computation interpolates every draw on knots from one (M, K)
+        # cumulative sum; each row must equal the draw's own Lambda0 bit for
+        # bit, and the knots the former 0-then-dtau*cumsum concatenation
+        rng = np.random.default_rng(K)
+        part = make_partition(365.0 * rng.uniform(0.5, 3.0), K)
+        hazards = np.exp(rng.uniform(math.log(1e-8), math.log(1e3), (40, K)))
+        hazards[0], hazards[1] = 1e-8, 1e3
+        t_max = part.max_time
+        grid = np.concatenate([[0.0, t_max, 0.0, t_max],
+                               rng.uniform(0.0, t_max, 25),
+                               part.endpoints[::-1], part.midpoints])
+        grid[10:13] = grid[9]                   # repeated times
+        knots = cum_hazard_knots(hazards, part)
+        assert knots.shape == (40, K + 1)
+        for m, theta in enumerate(hazards):
+            former = np.concatenate(([0.0], part.dtau * np.cumsum(theta)))
+            assert knots[m].tobytes() == former.tobytes()
+            assert (np.interp(grid, part.endpoints, knots[m]).tobytes()
+                    == cum_base_hazard(theta, part, grid).tobytes())
