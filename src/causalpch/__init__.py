@@ -18,9 +18,9 @@ from .freq_oracle import MleFit, pch_mle
 from .gcomp import (GcompResult, apply_intervention, draw_bb_weights,
                     exact_marginal_survival, gcompute)
 from .hazard_model import (HazardModel, ParameterLayout, ParameterState,
-                           Partition, PersonTime, PriorConfig, cum_base_hazard,
-                           expand_person_time, log_prior, make_partition,
-                           to_unconstrained)
+                           Partition, PersonTime, PriorConfig,
+                           cum_hazard_knots, expand_person_time, log_prior,
+                           make_partition, to_unconstrained)
 from .sampler import (HazardPosterior, SamplerConfig, leapfrog, sample,
                       run_hmc_chain)
 
@@ -32,7 +32,7 @@ __all__ = [
     "Partition", "PersonTime", "ParameterState", "PriorConfig",
     "ParameterLayout", "HazardModel",
     "make_partition", "expand_person_time", "log_prior", "to_unconstrained",
-    "cum_base_hazard",
+    "cum_hazard_knots",
     "SamplerConfig", "HazardPosterior", "sample", "leapfrog", "run_hmc_chain",
     "GcompResult", "draw_bb_weights", "apply_intervention",
     "gcompute", "exact_marginal_survival",

@@ -11,15 +11,16 @@ Subcommands::
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure. A data CSV is read by ``dataset.read_csv``, which reports a ragged
 file by its row, and a draws-style CSV by ``read_numeric_csv``, which refuses
-what ``read_csv`` and ``float()`` refuse, with their messages. Every CSV is
+what ``read_csv``, ``float()`` or numpy's parser refuse. Every CSV is
 written by ``_write_csv``; meta.json and gcomp_meta.json are written by
 ``_write_json`` and read by ``read_meta_json``. Floats are serialized with
 17 significant digits, so emitted CSVs re-parse bit-exactly.
 draws.csv stores constrained parameters per retained draw: theta_1..theta_K
 (log baseline-hazard levels), one column per formula term, eta, rho (AR1
 only), nu_1..nu_K, then chain and iter labels. A meta.json whose design,
-terms or partition disagree with each other or with draws.csv, or that
-another causalpch version wrote, exits 2.
+terms, partition or prior (model_kind, sigma, K) disagree with each other,
+with draws.csv or with what fit accepts, or that another causalpch version
+wrote, exits 2.
 The fit's time and event columns are the ones its formula's Surv() names.
 fit prints a ``warning:`` line on stderr for each chain whose adapted step
 size is below 1/FROZEN_STEP_RATIO of the largest chain's.
@@ -144,6 +145,8 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
     rounds a cell as ``float()`` does. A file it refuses, one with a blank
     line and one whose rows are not as wide as the header are read again by
     ``dataset.read_csv`` and ``float()``, whose DataError names the fault.
+    A cell that ``float()`` reads and numpy's parser does not, such as
+    ``1_000`` or non-ASCII digits, is refused as a non-numeric cell too.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -199,10 +202,16 @@ def posterior_from_files(draws_path, meta_path) -> HazardPosterior:
                         f"{mat[row, col]} is not a finite number")
     try:
         config = SamplerConfig(**{name: meta[name] for name in _RECORDED})
+        prior = PriorConfig(**{f.name: meta[f.name]
+                               for f in fields(PriorConfig)})
+        partition = Partition(endpoints=np.asarray(
+            meta["partition"]["endpoints"], dtype=float))
+        if prior.K != partition.K:
+            raise DataError(f"K is {prior.K!r} but the partition has "
+                            f"{partition.K} intervals")
         fit = dict(
-            partition=Partition(endpoints=np.asarray(
-                meta["partition"]["endpoints"], dtype=float)),
-            model_kind=meta["model_kind"], sigma=meta["sigma"],
+            partition=partition, model_kind=prior.model_kind,
+            sigma=prior.sigma,
             formula=meta["formula"], treat_col=meta["treat_col"],
             design=DesignMatrix(
                 X=np.asarray(meta["design_matrix"], dtype=float),

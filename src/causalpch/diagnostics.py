@@ -77,19 +77,10 @@ class PsrfReport:
         return "\n".join(lines)
 
 
-def _as_chain_list(draws) -> list[np.ndarray]:
-    if isinstance(draws, np.ndarray):
-        chains = [draws]
-    else:
-        chains = [np.asarray(c, dtype=float) for c in draws]
-    out = []
-    for c in chains:
-        c = np.asarray(c, dtype=float)
-        if c.ndim == 1:
-            c = c[:, None]
-        if c.ndim != 2:
-            raise DataError("draws must be vectors or M x Q matrices")
-        out.append(c)
+def _as_chain_list(chains) -> list[np.ndarray]:
+    out = [np.asarray(c, dtype=float) for c in chains]
+    if any(c.ndim != 2 for c in out):
+        raise DataError("chains must be (draws, parameters) matrices")
     if len({c.shape[1] for c in out}) != 1:
         raise DataError("chains have differing parameter counts")
     return out
@@ -136,13 +127,13 @@ def _batch_means_var(chain: np.ndarray) -> np.ndarray:
     return bsize * means.var(axis=0, ddof=1)
 
 
-def summarize(draws, probs=(0.025, 0.975), names=None) -> SummaryTable:
-    """Summarize one draw matrix or a list of per-chain matrices.
+def summarize(chains, probs=(0.025, 0.975), names=None) -> SummaryTable:
+    """Summarize a list of per-chain (draws, parameters) matrices.
 
     Moments and quantiles pool all chains; the time-series SE averages the
     per-chain batch-means variances.
     """
-    chains = _as_chain_list(draws)
+    chains = _as_chain_list(chains)
     pooled = np.vstack(chains)
     n_total, q = pooled.shape
     if n_total < 2:
@@ -271,7 +262,8 @@ def _f_quantile(p: float, d1: float, d2) -> np.ndarray:
 
 
 def psrf(chains, names=None) -> PsrfReport:
-    """Gelman-Rubin diagnostic over C >= 2 equal-length chains.
+    """Gelman-Rubin diagnostic over a list of C >= 2 equal-length chains,
+    each a (draws, parameters) matrix.
 
     The upper limit takes the 97.5% quantile of F(C - 1, w_df) from
     ``_f_quantile``; it is NaN for a parameter whose within-chain degrees

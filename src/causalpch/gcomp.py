@@ -15,10 +15,10 @@ subject and arm. Weighted by pi / B, the counts give pi @ S(grid) by a
 reverse cumulative sum, at a cost that does not grow with B. Evaluation
 grids beyond the maximum observed time are rejected outright.
 
-The Lambda0 knots of all draws come from one cumulative sum over the (M, K)
-hazard draws, and a draw interpolates its own on the grid. A draw's cells,
-1 - S(t_0), S(t_{j-1}) - S(t_j) and S(t_{T-1}), are written into one
-(n, T + 1) buffer per thread.
+The Lambda0 knots of all draws come from one ``cum_hazard_knots`` pass over
+the (M, K) hazard draws, and a draw interpolates its own on the grid. A
+draw's cells, 1 - S(t_0), S(t_{j-1}) - S(t_j) and S(t_{T-1}), are written
+into one (n, T + 1) buffer per thread.
 
 Draws are independent, each with its own Philox stream, and most of a
 draw's time is spent in the multinomial counts, which release the GIL. So

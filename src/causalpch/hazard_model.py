@@ -31,7 +31,7 @@ __all__ = [
     "Partition", "PersonTime", "ParameterState", "PriorConfig",
     "ParameterLayout", "HazardModel",
     "make_partition", "expand_person_time", "log_prior", "to_unconstrained",
-    "cum_base_hazard",
+    "cum_hazard_knots",
 ]
 
 INDEPENDENT = "independent"
@@ -135,8 +135,10 @@ class PriorConfig:
         if self.model_kind not in (INDEPENDENT, AR1):
             raise DataError(f"model_kind must be {INDEPENDENT!r} or {AR1!r}, "
                             f"got {self.model_kind!r}")
-        if not self.sigma > 0:
-            raise DataError(f"sigma must be positive, got {self.sigma!r}")
+        # the kernel divides by sigma**2 and takes its log
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):
+            raise DataError("sigma must be positive with a positive, finite "
+                            f"square, got {self.sigma!r}")
         if self.K < 1:
             raise DataError(f"K must be >= 1, got {self.K!r}")
 
@@ -263,13 +265,6 @@ class _PoissonLikelihood:
             np.vecdot(self.Xt_delta, beta).tolist(),
             np.vecdot(r, cumhaz).tolist())]
 
-    def value(self, theta: np.ndarray, beta: np.ndarray) -> float:
-        """The log-likelihood at one point."""
-        theta, beta, ws = theta[None], beta[None], self._workspace(1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, cumhaz, r = self._common(theta, beta, ws)
-            return self._value(theta, beta, cumhaz, r, ws)[0]
-
     def exposure(self, r: np.ndarray) -> np.ndarray:
         """Rate-weighted exposure per interval of each row of ``r`` (C, n):
         A_k = sum_{i at risk in k} r_i dt_ik, as (C, K)."""
@@ -317,9 +312,9 @@ class HazardModel:
     """Binds data and prior into a differentiable log posterior; the
     partition is only checked against the prior's K.
 
-    Evaluates one point or a block of points, one row per chain;
-    ``likelihood.value`` gives the log-likelihood alone. The likelihood
-    reuses scratch buffers, so one model must not be shared between threads.
+    Evaluates a block of points, one row per chain; ``log_posterior_grad``
+    also takes one point. The likelihood reuses scratch buffers, so one
+    model must not be shared between threads.
     """
 
     def __init__(self, design: DesignMatrix, person_time: PersonTime,
@@ -349,17 +344,15 @@ class HazardModel:
         return (value[0], grad[0]) if z.ndim == 1 else (np.array(value), grad)
 
     def grad(self, z: np.ndarray) -> np.ndarray:
-        """Gradient of the log posterior alone, for interior leapfrog steps.
+        """Gradient of the log posterior alone at a (C, dim) block, for
+        interior leapfrog steps.
 
-        Takes a point or a block like ``log_posterior_grad``, and is bitwise
-        equal to its gradient. At a saturated rho, where the density is
-        -inf, the rho entry is NaN, so a caller that checks only the
-        gradient still sees the point as divergent. Floating-point warnings
-        are left to the caller.
+        Bitwise equal to the gradient of ``log_posterior_grad``. At a
+        saturated rho, where the density is -inf, the rho entry is NaN, so a
+        caller that checks only the gradient still sees the point as
+        divergent. Floating-point warnings are left to the caller.
         """
-        grad = self._posterior(z[None] if z.ndim == 1 else z,
-                               with_value=False)[1]
-        return grad[0] if z.ndim == 1 else grad
+        return self._posterior(z, with_value=False)[1]
 
     def _posterior(self, z: np.ndarray, with_value: bool):
         """The one posterior kernel over a (C, dim) block: (list of
@@ -475,27 +468,13 @@ def to_unconstrained(state: ParameterState, config: PriorConfig) -> np.ndarray:
     return layout.unconstrain(row)
 
 
-def cum_base_hazard(theta: np.ndarray, partition: Partition, t) -> np.ndarray | float:
-    """Cumulative baseline hazard Lambda0(t) for hazard levels theta.
-
-    Piecewise linear, continuous and nondecreasing in t; accepts a scalar or
-    an array of times within [0, max time].
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    inside = (t_arr >= 0) & (t_arr <= partition.max_time)     # False for NaN
-    if not inside.all():
-        raise DataError(f"time {float(t_arr[~inside][0])} outside "
-                        f"[0, {partition.max_time}]")
-    out = np.interp(t_arr, partition.endpoints, cum_hazard_knots(theta, partition))
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-def cum_hazard_knots(theta: np.ndarray, partition: Partition) -> np.ndarray:
-    """Lambda0 at the partition endpoints, 0 then dtau * cumsum(theta), along
-    the last axis: a (M, K) block of hazard levels gives (M, K + 1) knots in
-    one pass, row m bit-identical to the knots of theta[m] alone."""
-    theta = np.asarray(theta, dtype=float)
-    knots = np.zeros(theta.shape[:-1] + (theta.shape[-1] + 1,))
-    np.cumsum(theta, axis=-1, out=knots[..., 1:])
+def cum_hazard_knots(hazards: np.ndarray, partition: Partition) -> np.ndarray:
+    """Lambda0 at the partition endpoints for hazard levels exp(theta): 0,
+    then dtau * cumsum(hazards) along the last axis; Lambda0(t) is their
+    ``np.interp`` on the endpoints. A (M, K) block gives (M, K + 1) knots in
+    one pass, row m bit-identical to the knots of hazards[m] alone."""
+    hazards = np.asarray(hazards, dtype=float)
+    knots = np.zeros(hazards.shape[:-1] + (hazards.shape[-1] + 1,))
+    np.cumsum(hazards, axis=-1, out=knots[..., 1:])
     knots[..., 1:] *= partition.dtau
     return knots

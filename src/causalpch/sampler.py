@@ -94,8 +94,9 @@ def leapfrog(target, q: np.ndarray, p: np.ndarray, grad: np.ndarray,
              step_size, n_steps: int) -> LeapfrogResult:
     """Integrate Hamilton's equations for ``n_steps`` velocity-Verlet steps.
 
-    ``q``, ``p`` and ``grad`` (the log density's gradient at ``q``) are one
-    point or a (C, dim) block; ``step_size`` is a scalar or a (C, 1) column.
+    ``q``, ``p`` and ``grad`` (the log density's gradient at ``q``) are a
+    (C, dim) block, or one point if ``target.grad`` takes one (that of
+    ``HazardModel`` does not); ``step_size`` is a scalar or a (C, 1) column.
     The mass matrix is the identity. Interior steps evaluate ``target.grad``,
     the last one ``target.log_posterior_grad``. Finiteness is checked once,
     at the end: a non-finite position stays non-finite under later steps,
@@ -280,22 +281,13 @@ class HazardPosterior:
         return self.layout.names(self.term_names)
 
     @property
-    def theta_draws(self) -> np.ndarray:
-        """Log baseline-hazard draws, (draws, K)."""
-        return self.draws[:, self.layout.theta]
-
-    @property
     def hazard_draws(self) -> np.ndarray:
         """Baseline-hazard level draws exp(theta), (draws, K)."""
-        return np.exp(self.theta_draws)
+        return np.exp(self.draws[:, self.layout.theta])
 
     @property
     def beta_draws(self) -> np.ndarray:
         return self.draws[:, self.layout.beta]
-
-    @property
-    def eta_draws(self) -> np.ndarray:
-        return self.draws[:, self.layout.eta]
 
     def chains(self) -> list[np.ndarray]:
         """Split the draw matrix back into per-chain blocks."""

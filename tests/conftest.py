@@ -52,6 +52,13 @@ def random_survival_data(rng, n=40, p=2, max_time=10.0):
     return X, y, delta
 
 
+def log_likelihood(lik, theta, beta) -> float:
+    """The Poisson log-likelihood at one point: ``value_and_grad`` on a
+    one-row block, where an overflowing rate gives -inf or NaN unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lik.value_and_grad(theta[None], beta[None])[0][0]
+
+
 class Target:
     """A sampler target built from one ``z -> (log density, gradient)``.
 

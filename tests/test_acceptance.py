@@ -22,7 +22,7 @@ from causalpch.sampler import run_hmc_chain
 
 from conftest import (ADJUSTED_FORMULA, UNADJUSTED_FORMULA, VETERAN_CSV,
                       Target, design_of, integrated_autocorr_time,
-                      random_survival_data)
+                      log_likelihood, random_survival_data)
 from test_hazard_model import continuous_time_loglik, random_state
 from test_freq_oracle import occupied_instance
 
@@ -96,7 +96,8 @@ def unadjusted_fit(veteran_data):
 
 
 def test_criterion_01_adjusted_fit_posterior(adjusted_fit):
-    table = summarize(adjusted_fit.beta_draws, names=adjusted_fit.term_names)
+    table = summarize([adjusted_fit.beta_draws],
+                      names=adjusted_fit.term_names)
     by = {name: i for i, name in enumerate(table.names)}
     problems = []
     for name, target in PAPER["beta_mean"].items():
@@ -184,7 +185,7 @@ def test_criterion_06_likelihood_equivalence():
         expected = float(delta @ np.log(pt.dt_last))
         for _ in range(5):
             state = random_state(rng, K, 2)
-            pois = lik.value(state.theta_tilde, state.beta)
+            pois = log_likelihood(lik, state.theta_tilde, state.beta)
             cont = continuous_time_loglik(state.theta_tilde, state.beta, X, y,
                                           delta, part.endpoints)
             worst = max(worst, abs(pois - cont - expected))
@@ -236,7 +237,7 @@ def test_criterion_08_sampler_correctness():
                         target_accept=0.7)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(80)))
     [res] = run_hmc_chain(Target(gaussian, 2), cfg, [rng])
-    table = summarize(res.draws)
+    table = summarize([res.draws])
     moment_ok = True
     detail = []
     for j in range(2):
@@ -283,11 +284,11 @@ def test_criterion_09_mle_oracle_and_figure_contrast(unadjusted_fit):
         assert fit.converged
         lik = _PoissonLikelihood(X, pt, delta)
         z0 = np.concatenate([np.full(K, -1.0), np.zeros(p)])
-        res = optimize.minimize(lambda z: -lik.value(z[:K], z[K:]), z0,
-                                method="Powell",
+        res = optimize.minimize(lambda z: -log_likelihood(lik, z[:K], z[K:]),
+                                z0, method="Powell",
                                 options={"maxiter": 200000, "xtol": 1e-10,
                                          "ftol": 1e-13})
-        ours = lik.value(np.log(fit.theta_hat), fit.beta_hat)
+        ours = log_likelihood(lik, np.log(fit.theta_hat), fit.beta_hat)
         worst = max(worst, abs(ours - (-res.fun)))
     mle_ok = worst < 1e-6
 
@@ -300,7 +301,7 @@ def test_criterion_09_mle_oracle_and_figure_contrast(unadjusted_fit):
     hi = np.quantile(hazards, 0.975, axis=0)
     person_time = expand_person_time(post.design.y, post.partition)
     mle = pch_mle(post.design, person_time)
-    eta_level = math.exp(float(post.eta_draws.mean()))
+    eta_level = math.exp(float(post.draws[:, post.layout.eta].mean()))
     last = slice(post.K - 10, post.K)
     hits = 0
     for k in range(post.K - 10, post.K):
@@ -318,7 +319,7 @@ def test_criterion_09_mle_oracle_and_figure_contrast(unadjusted_fit):
     # shrink-toward-a-common-level on the log scale: exp(mean log hazard)
     # sits between the erratic MLE and the process level (the arithmetic
     # posterior mean would exceed exp(mean eta) by Jensen alone)
-    geo = np.exp(post.theta_draws.mean(axis=0))
+    geo = np.exp(post.draws[:, post.layout.theta].mean(axis=0))
     between = sum(min(mle.theta_hat[k], eta_level)
                   <= geo[k] <= max(mle.theta_hat[k], eta_level)
                   for k in range(post.K - 10, post.K))

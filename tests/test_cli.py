@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from causalpch import (DataError, PriorConfig, SamplerConfig, __version__,
-                       cum_base_hazard, expand_person_time, make_partition)
+                       expand_person_time, make_partition)
 from causalpch.cli import (_RECORDED, _split_chains, build_parser, main,
                            read_numeric_csv, write_matrix_csv)
 from causalpch.dataset import check_response
@@ -163,6 +163,19 @@ class TestFit:
                    "--out-dir", str(tmp_path / "never")])
         assert rc == 2
         assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e200", "inf"])
+    def test_sigma_square_not_positive_finite_exit_code(self, tmp_path,
+                                                        tiny_csv, capsys,
+                                                        sigma):
+        # the kernel squares sigma: these underflow to 0 or overflow
+        rc = main(["fit", "--data", str(tiny_csv),
+                   "--formula", "Surv(y, delta) ~ A", "--partitions", "5",
+                   "--warmup", "5", "--iters", "5", "--leapfrog-steps", "2",
+                   "--sigma", sigma, "--out-dir", str(tmp_path / "never")])
+        assert rc == 2
+        assert "sigma" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_negative_seed_exit_code(self, tmp_path, tiny_csv, capsys):
         rc = main(["fit", "--data", str(tiny_csv),
@@ -365,6 +378,10 @@ class TestGcomp:
         "y_nonpositive": lambda m: m["y"].__setitem__(0, -5.0),
         "other_version": lambda m: m.update(version="0.0.1"),
         "no_version": lambda m: m.pop("version"),
+        # the prior fields get fit's checks; K must be the partition's
+        "model_kind": lambda m: m.update(model_kind="bogus"),
+        "sigma": lambda m: m.update(sigma="x"),
+        "K": lambda m: m.update(K=77),
     }
 
     DRAWS_DAMAGE = {
@@ -620,9 +637,7 @@ def float_parse(path):
      "2.5"),
     (lambda: expand_person_time(np.array([1.0, 11.0]),
                                 make_partition(10.0, 2)), "11.0"),
-    (lambda: cum_base_hazard(np.zeros(2), make_partition(10.0, 2),
-                             np.array([12.5])), "12.5"),
-], ids=["check_rows", "split_chains", "expand_person_time", "cum_base_hazard"])
+], ids=["check_rows", "split_chains", "expand_person_time"])
 def test_error_messages_print_plain_numbers(call, value):
     with pytest.raises(DataError) as exc:
         call()

@@ -11,7 +11,7 @@ from causalpch.diagnostics import _f_quantile, _quantiles
 
 class TestSummarize:
     def test_worked_example(self):
-        table = summarize(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        table = summarize([np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])])
         assert table.mean[0] == 3.0
         assert table.sd[0] == pytest.approx(math.sqrt(2.5), rel=1e-12)
         assert table.naive_se[0] == pytest.approx(math.sqrt(2.5 / 5), rel=1e-12)
@@ -20,18 +20,18 @@ class TestSummarize:
         assert table.quantiles[0, 1] == pytest.approx(4.9, rel=1e-12)
 
     def test_constant_draws(self):
-        table = summarize(np.full(64, 2.5))
+        table = summarize([np.full((64, 1), 2.5)])
         assert table.sd[0] == 0.0
         assert np.all(table.quantiles[0] == 2.5)
 
     def test_ts_se_absent_for_short_series(self):
         # M=8 -> batch size 2, 4 batches: present; M=6 -> 3 batches: absent
-        assert math.isfinite(summarize(np.arange(8.0)).ts_se[0])
-        assert math.isnan(summarize(np.arange(6.0)).ts_se[0])
+        assert math.isfinite(summarize([np.arange(8.0)[:, None]]).ts_se[0])
+        assert math.isnan(summarize([np.arange(6.0)[:, None]]).ts_se[0])
 
     def test_quantile_monotonicity(self):
         rng = np.random.default_rng(0)
-        table = summarize(rng.standard_normal(500),
+        table = summarize([rng.standard_normal(500)[:, None]],
                           probs=(0.05, 0.25, 0.5, 0.75, 0.95))
         assert np.all(np.diff(table.quantiles[0]) >= 0)
 
@@ -39,7 +39,7 @@ class TestSummarize:
         rng = np.random.default_rng(1)
         chains = [rng.standard_normal((400, 2)) for _ in range(3)]
         pooled = summarize(chains)
-        flat = summarize(np.vstack(chains))
+        flat = summarize([np.vstack(chains)])
         assert np.allclose(pooled.mean, flat.mean, atol=0)
         assert np.allclose(pooled.sd, flat.sd, rtol=1e-12)
         assert pooled.n_chains == 3
@@ -53,26 +53,35 @@ class TestSummarize:
         x[0] = 0.0
         for i in range(1, len(x)):
             x[i] = 0.9 * x[i - 1] + rng.standard_normal()
-        table = summarize(x)
+        table = summarize([x[:, None]])
         assert table.ts_se[0] > 2 * table.naive_se[0]
 
     def test_names_and_matrix_input(self):
         rng = np.random.default_rng(3)
-        table = summarize(rng.standard_normal((100, 2)), names=("a", "b"))
+        table = summarize([rng.standard_normal((100, 2))], names=("a", "b"))
         assert table.names == ("a", "b")
         with pytest.raises(DataError):
-            summarize(rng.standard_normal((100, 2)), names=("a",))
+            summarize([rng.standard_normal((100, 2))], names=("a",))
 
     def test_too_few_draws(self):
         with pytest.raises(DataError):
-            summarize(np.array([1.0]))
+            summarize([np.array([[1.0]])])
 
     def test_text_layout_two_blocks(self):
         rng = np.random.default_rng(4)
-        text = summarize(rng.standard_normal((50, 1)), names=("A",)).to_text()
+        text = summarize([rng.standard_normal((50, 1))],
+                         names=("A",)).to_text()
         assert "1. Empirical mean and standard deviation" in text
         assert "2. Quantiles for each variable" in text
         assert "Time-series SE" in text
+
+    @pytest.mark.parametrize("call", [summarize, psrf])
+    def test_only_a_list_of_matrices(self, call):
+        # a bare array or a vector chain is refused, not read as one chain
+        x = np.arange(10.0)
+        for bad in (x, x[:, None], [x, x], [x[None, :, None]] * 2):
+            with pytest.raises(DataError, match="matrices"):
+                call(bad)
 
 
 SPECIAL_VALUES = ("none", "inf", "-inf", "nan", "constant", "ties")
@@ -106,14 +115,14 @@ class TestPsrf:
     def test_same_distribution_upper_near_one(self):
         rng = np.random.default_rng(5)
         chains = [rng.standard_normal(1000) for _ in range(3)]
-        report = psrf(chains)
+        report = psrf([c[:, None] for c in chains])
         assert report.upper[0] < 1.05
         assert report.point[0] < 1.05
 
     def test_disjoint_chains_flagged(self):
         rng = np.random.default_rng(6)
         chains = [rng.standard_normal(500), rng.standard_normal(500) + 10.0]
-        report = psrf(chains)
+        report = psrf([c[:, None] for c in chains])
         assert report.point[0] > 3.0
 
     def test_affine_invariance(self):
@@ -126,15 +135,15 @@ class TestPsrf:
 
     def test_zero_within_chain_variance(self):
         with pytest.raises(DataError, match="zero within-chain"):
-            psrf([np.ones(10), np.ones(10)])
+            psrf([np.ones((10, 1)), np.ones((10, 1))])
 
     def test_needs_two_chains(self):
         with pytest.raises(DataError):
-            psrf([np.arange(10.0)])
+            psrf([np.arange(10.0)[:, None]])
 
     def test_unequal_lengths(self):
         with pytest.raises(DataError):
-            psrf([np.arange(10.0), np.arange(12.0)])
+            psrf([np.arange(10.0)[:, None], np.arange(12.0)[:, None]])
 
     def test_names_must_match_parameters(self):
         rng = np.random.default_rng(9)
@@ -154,7 +163,7 @@ class TestPsrf:
         rng = np.random.default_rng(8)
         base = rng.standard_normal(2000)
         chains = [base + 1e-3 * rng.standard_normal(2000) for _ in range(3)]
-        report = psrf(chains)
+        report = psrf([c[:, None] for c in chains])
         assert report.point[0] > 0.99
 
     def test_upper_limit_uses_tabulated_f_quantile(self):
@@ -167,7 +176,7 @@ class TestPsrf:
         base = (base - base.mean()) / base.std(ddof=1)
         phi = (1.0 + math.sqrt(5.0)) / 2.0
         chains = [phi * base, base + 0.3]
-        report = psrf(chains)
+        report = psrf([c[:, None] for c in chains])
         w = (phi**2 + 1.0) / 2.0
         b = m * np.var([0.0, 0.3], ddof=1)
         r2_fixed = (m - 1.0) / m
@@ -181,7 +190,7 @@ class TestPsrf:
         # -x has exactly the variance of x, so the chain variances have no
         # spread, w_df is infinite and the F quantile is undefined
         x = np.random.default_rng(10).standard_normal(100) + 1.0
-        report = psrf([x, -x])
+        report = psrf([x[:, None], -x[:, None]])
         assert math.isfinite(report.point[0])
         assert math.isnan(report.upper[0])
 

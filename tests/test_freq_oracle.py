@@ -8,7 +8,7 @@ from causalpch import (expand_person_time, make_partition, pch_mle)
 from causalpch.freq_oracle import _profile
 from causalpch.hazard_model import _PoissonLikelihood
 
-from conftest import design_of, person_time_for
+from conftest import design_of, log_likelihood, person_time_for
 
 
 def occupied_instance(rng, n, K, p):
@@ -45,18 +45,18 @@ class TestPchMle:
             lik = _PoissonLikelihood(X, pt, delta)
 
             def negloglik(z):
-                return -lik.value(z[:4], z[4:])
+                return -log_likelihood(lik, z[:4], z[4:])
 
             z0 = np.concatenate([np.full(4, -1.0), np.zeros(2)])
             res = optimize.minimize(negloglik, z0, method="Powell",
                                     options={"maxiter": 100000,
                                              "xtol": 1e-10, "ftol": 1e-12})
-            ours = lik.value(np.log(fit.theta_hat), fit.beta_hat)
+            ours = log_likelihood(lik, np.log(fit.theta_hat), fit.beta_hat)
             assert abs(ours - (-res.fun)) < 1e-6
             # and our optimum dominates random points
             for _ in range(200):
                 z = z0 + rng.uniform(-1.5, 1.5, 6)
-                assert lik.value(z[:4], z[4:]) <= ours + 1e-9
+                assert log_likelihood(lik, z[:4], z[4:]) <= ours + 1e-9
 
     def test_zero_event_intervals_reported_as_zero(self):
         # events only in the first two of five intervals
@@ -102,7 +102,8 @@ class TestPchMle:
         gaps = []
         for beta in rng.uniform(-0.5, 0.5, (3, 2)):
             value, _, _, A = _profile(lik, beta)
-            gaps.append(lik.value(np.log(lik.d_events / A), beta) - value)
+            gaps.append(log_likelihood(lik, np.log(lik.d_events / A), beta)
+                        - value)
         assert np.ptp(gaps) < 1e-10
 
     def test_covariate_shift_invariance(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from causalpch import (DataError, apply_intervention, cum_base_hazard,
+from causalpch import (DataError, apply_intervention, cum_hazard_knots,
                        draw_bb_weights, exact_marginal_survival, gcompute,
                        make_partition)
 from causalpch import gcomp
@@ -263,7 +263,8 @@ class TestCountingKernel:
         d = post.design
         rates = [np.exp(apply_intervention(d.X, d.terms, d.columns, "A", a)
                         @ post.beta_draws[0]) for a in (0, 1)]
-        lam = cum_base_hazard(post.hazard_draws[0], part, res.times)
+        lam = np.interp(res.times, part.endpoints,
+                        cum_hazard_knots(post.hazard_draws[0], part))
         surv_i = np.exp(-np.multiply.outer(rates, lam))        # (2, n, T)
         var = np.sum(surv_i * (1.0 - surv_i), axis=1) / (n**2 * b)
         gap = np.abs(got.mean(axis=1) - want.mean(axis=1))
@@ -293,7 +294,9 @@ class TestCountingKernel:
         grid = np.array([1.0, 4.0, 7.5, 12.0])
         with uniform_weights():
             res = gcompute(post, ref=0, b=b, grid=grid)
-        surv = np.exp(-cum_base_hazard(np.exp(theta), post.partition, grid))
+        part = post.partition
+        surv = np.exp(-np.interp(grid, part.endpoints,
+                                 cum_hazard_knots(np.exp(theta), part)))
         assert np.all(np.abs(res.surv_ref - surv) < mc_tolerance(surv, 12, b))
         assert np.all(np.abs(res.surv_trt - surv**2)
                       < mc_tolerance(surv**2, 12, b))

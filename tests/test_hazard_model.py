@@ -7,13 +7,12 @@ from scipy import integrate
 
 from causalpch import (DataError, HazardModel, HazardPosterior,
                        ParameterLayout, ParameterState, PriorConfig,
-                       SamplerConfig, cum_base_hazard, expand_person_time,
+                       SamplerConfig, cum_hazard_knots, expand_person_time,
                        log_prior, make_partition, to_unconstrained)
 from causalpch.formula import DesignMatrix, Term
-from causalpch.hazard_model import (Partition, PersonTime, _PoissonLikelihood,
-                                    cum_hazard_knots)
+from causalpch.hazard_model import Partition, PersonTime, _PoissonLikelihood
 
-from conftest import random_survival_data
+from conftest import log_likelihood, random_survival_data
 
 
 def random_state(rng, K, p, ar1=True):
@@ -129,8 +128,9 @@ class TestLogLikelihood:
         pt = expand_person_time(np.array([2.0]), part)
         state = ParameterState(theta_tilde=np.zeros(1), beta=np.zeros(0),
                                eta=0.0, rho=0.0, nu=np.ones(1))
-        ll = _PoissonLikelihood(np.zeros((1, 0)), pt, np.array([1.0])).value(
-            state.theta_tilde, state.beta)
+        ll = log_likelihood(_PoissonLikelihood(np.zeros((1, 0)), pt,
+                                               np.array([1.0])),
+                            state.theta_tilde, state.beta)
         assert ll == pytest.approx(math.log(2.0) - 2.0, rel=1e-12)
 
     def test_poisson_minus_continuous_is_constant(self):
@@ -145,7 +145,7 @@ class TestLogLikelihood:
             diffs = []
             for _ in range(5):
                 state = random_state(rng, K, 2)
-                pois = lik.value(state.theta_tilde, state.beta)
+                pois = log_likelihood(lik, state.theta_tilde, state.beta)
                 cont = continuous_time_loglik(state.theta_tilde, state.beta,
                                               X, y, delta, part.endpoints)
                 diffs.append(pois - cont)
@@ -165,10 +165,10 @@ class TestLogLikelihood:
         shifted = ParameterState(theta_tilde=state.theta_tilde - math.log(2),
                                  beta=state.beta, eta=state.eta,
                                  rho=state.rho, nu=state.nu)
-        base = _PoissonLikelihood(X, pt, delta).value(state.theta_tilde,
-                                                      state.beta)
-        moved = _PoissonLikelihood(X, doubled, delta).value(
-            shifted.theta_tilde, shifted.beta)
+        base = log_likelihood(_PoissonLikelihood(X, pt, delta),
+                              state.theta_tilde, state.beta)
+        moved = log_likelihood(_PoissonLikelihood(X, doubled, delta),
+                               shifted.theta_tilde, shifted.beta)
         assert moved == pytest.approx(base, rel=1e-12)
 
 
@@ -379,8 +379,7 @@ class TestParameterLayout:
         names = post.param_names
         assert post.beta_draws.tolist() == draws[:, [names.index(t)
                                                      for t in terms]].tolist()
-        assert post.eta_draws.tolist() == draws[:, names.index("eta")].tolist()
-        assert post.theta_draws.tolist() == draws[:, :self.K].tolist()
+        assert post.hazard_draws.tolist() == np.exp(draws[:, :self.K]).tolist()
         assert names[:self.K] == tuple(f"theta_{k}" for k in range(1, self.K + 1))
 
 
@@ -425,7 +424,7 @@ class TestLogPosteriorGrad:
         theta, beta, eta, rho, nu = layout.split(layout.constrain(z))
         state = ParameterState(theta, beta, float(eta), float(rho), nu)
         log_jac = layout.log_jacobian(z)
-        ll = model.likelihood.value(state.theta_tilde, state.beta)
+        ll = log_likelihood(model.likelihood, state.theta_tilde, state.beta)
         lp = log_prior(state, cfg)
         assert value == pytest.approx(ll + lp + log_jac, rel=1e-10)
 
@@ -464,7 +463,7 @@ class TestGradOnly:
         for z in points:
             value, grad = model.log_posterior_grad(z)
             assert np.isfinite(value)
-            assert model.grad(z).tobytes() == grad.tobytes()
+            assert model.grad(z[None])[0].tobytes() == grad.tobytes()
 
     def test_non_finite_wherever_density_is_minus_inf(self):
         rng = np.random.default_rng(18)
@@ -477,10 +476,11 @@ class TestGradOnly:
             value, grad = model.log_posterior_grad(z)
             assert value == -math.inf
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                only = model.grad(z)
+                only = model.grad(z[None])[0]
             assert not np.isfinite(only).all()
             assert only.tobytes() == grad.tobytes()
-        assert np.isfinite(np.delete(model.grad(saturated), rho_at)).all()
+        assert np.isfinite(np.delete(model.grad(saturated[None])[0],
+                                     rho_at)).all()
 
 
 class TestBlockKernel:
@@ -509,17 +509,22 @@ class TestBlockKernel:
         assert values.shape == (C,) and grads.shape == (C, model.dim)
 
 
+def lambda0(hazards, part, t):
+    """Lambda0(t): the knots interpolated on the partition endpoints."""
+    return np.interp(t, part.endpoints, cum_hazard_knots(hazards, part))
+
+
 class TestCumBaseHazard:
     def test_constant_hazard(self):
         part = make_partition(10.0, 5)
         for t in (0.0, 3.3, 10.0):
-            assert cum_base_hazard(np.full(5, 0.7), part, t) == \
+            assert lambda0(np.full(5, 0.7), part, t) == \
                 pytest.approx(0.7 * t, rel=1e-12)
 
     def test_two_full_intervals(self):
         part = make_partition(4.0, 2)
         theta = np.array([0.3, 1.1])
-        assert cum_base_hazard(theta, part, 4.0) == \
+        assert lambda0(theta, part, 4.0) == \
             pytest.approx(0.3 * 2 + 1.1 * 2, rel=1e-12)
 
     def test_piecewise_interpolation_exact(self):
@@ -527,7 +532,7 @@ class TestCumBaseHazard:
         # 2 + 0.5 (t - 1); check it at hand-picked times
         part = make_partition(5.0, 5)
         theta = np.array([2.0, 0.5, 0.5, 0.5, 0.5])
-        vals = cum_base_hazard(theta, part, np.array([0.5, 1.0, 1.5, 5.0]))
+        vals = lambda0(theta, part, np.array([0.5, 1.0, 1.5, 5.0]))
         assert vals == pytest.approx([1.0, 2.0, 2.25, 4.0], rel=1e-12)
 
     def test_matches_quadrature(self):
@@ -542,25 +547,15 @@ class TestCumBaseHazard:
         for t in rng.uniform(0.1, 7.0, 5):
             num, _ = integrate.quad(step_hazard, 0, t, limit=400,
                                     points=part.endpoints[part.endpoints < t])
-            assert cum_base_hazard(theta, part, float(t)) == \
+            assert lambda0(theta, part, float(t)) == \
                 pytest.approx(num, abs=1e-10)
 
     def test_monotone_and_continuous(self):
         part = make_partition(5.0, 4)
         theta = np.array([1.0, 0.2, 2.0, 0.5])
         grid = np.linspace(0, 5, 101)
-        vals = cum_base_hazard(theta, part, grid)
+        vals = lambda0(theta, part, grid)
         assert np.all(np.diff(vals) >= -1e-14)
-
-    def test_nan_time_rejected(self):
-        part = make_partition(10.0, 2)
-        with pytest.raises(DataError, match="nan"):
-            cum_base_hazard(np.zeros(2), part, np.array([1.0, np.nan]))
-
-    def test_beyond_horizon(self):
-        part = make_partition(5.0, 4)
-        with pytest.raises(DataError):
-            cum_base_hazard(np.ones(4), part, 5.1)
 
     @pytest.mark.parametrize("K", [1, 7, 100])
     def test_all_draws_knots_match_each_draw(self, K):
@@ -582,4 +577,4 @@ class TestCumBaseHazard:
             former = np.concatenate(([0.0], part.dtau * np.cumsum(theta)))
             assert knots[m].tobytes() == former.tobytes()
             assert (np.interp(grid, part.endpoints, knots[m]).tobytes()
-                    == cum_base_hazard(theta, part, grid).tobytes())
+                    == lambda0(theta, part, grid).tobytes())

@@ -141,7 +141,7 @@ class TestHmcChain:
                             leapfrog_steps=8, target_accept=0.8)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
         [res] = run_hmc_chain(gaussian_target([1.0, 4.0]), cfg, [rng])
-        table = summarize(res.draws)
+        table = summarize([res.draws])
         for j, true_sd in enumerate((1.0, 2.0)):
             mcse = table.ts_se[j]
             assert abs(table.mean[j]) < 3 * mcse
@@ -339,7 +339,7 @@ class TestSample:
                       SamplerConfig(warmup=800, post_iter=4000, seed=2,
                                     leapfrog_steps=32, target_accept=0.95))
         beta = post.beta_draws[:, 1]
-        table = summarize(beta)
+        table = summarize([beta[:, None]])
         assert abs(table.mean[0]) < 3 * table.ts_se[0]
         assert table.sd[0] == pytest.approx(3.0, rel=0.10)
 
